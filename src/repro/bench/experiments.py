@@ -581,9 +581,10 @@ def sweep_smoke(quick: bool | None = None, jobs: int | None = None) -> Rows:
     """A deliberately tiny sweep that exercises the parallel executor.
 
     ``python -m repro bench sweep_smoke --quick --jobs 2`` compiles and
-    simulates six small stencil configurations through the process pool
-    and the content-addressed cache — the CI-sized proof that the
-    ``--jobs`` path works end to end.
+    simulates four small stencil configurations (six without
+    ``--quick``) on a fleet of worker processes and through the
+    content-addressed cache — the CI-sized proof that the ``--jobs``
+    path works end to end.
     """
     quick = is_quick() if quick is None else quick
     flows = ("F1-V", "F1-T") if quick else ("F1-V", "F1-T", "F2")

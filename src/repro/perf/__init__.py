@@ -12,10 +12,10 @@ this package provides:
 * :mod:`repro.perf.cache` — an in-memory + on-disk memoization layer for
   ``compile_design`` and ``simulate`` keyed by that fingerprint, with
   hit/miss/seconds-saved accounting;
-* :mod:`repro.perf.sweep` — a supervised process-pool sweep executor
-  that fans independent (flow x parameter) experiment runs across
-  cores, with per-job timeouts, retry/backoff, quarantine, and pool
-  respawn on worker death;
+* :mod:`repro.perf.sweep` — a supervised sweep executor that fans
+  independent (flow x parameter) experiment runs across the worker
+  processes of the serving fleet, with per-job timeouts, retry/backoff,
+  quarantine, and worker replacement on a crash or a timeout;
 * :mod:`repro.perf.journal` — append-only, fsync'd JSONL run journals
   that make interrupted sweeps resumable (``repro bench --resume``).
 """
@@ -57,7 +57,6 @@ from .sweep import (
     SweepFailure,
     SweepOutcome,
     SweepSpec,
-    WorkerSupervisor,
     resolve_jobs,
     run_sweep,
     run_sweep_outcome,
@@ -73,7 +72,6 @@ __all__ = [
     "SweepFailure",
     "SweepOutcome",
     "SweepSpec",
-    "WorkerSupervisor",
     "activate_journal",
     "current_journal",
     "default_runs_dir",

@@ -376,7 +376,7 @@ def _env_memory_limit() -> int:
 
 
 def _after_fork_in_child() -> None:
-    # A forked worker (the sweep pool, the serve fleet) must not share
+    # A forked fleet worker (serving or sweeping) must not share
     # the parent's mutable cache state: its memory dict was built under
     # the parent's threads and its stats would double-count once both
     # processes report.  Rebuild a *fresh* cache carrying the parent's
@@ -420,7 +420,7 @@ def configure_cache(
 ) -> DesignCache:
     """Reconfigure the process-wide cache (CLI flags route here).
 
-    Forked children (sweep pool workers, fleet workers) inherit the
+    Forked children (fleet workers, serving or sweeping) inherit the
     configuration set here: the after-fork hook rebuilds their cache
     from this object's fields, not from the environment.
     """

@@ -41,6 +41,7 @@ import json
 import os
 import pickle
 import re
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -129,6 +130,9 @@ class RunJournal:
         self._complete = False
         self._mergeable = True
         self._handle = None
+        #: Parallel sweeps record from several threads: one header, and
+        #: each record one whole line.
+        self._lock = threading.Lock()
         self._load()
 
     # -- construction --------------------------------------------------------
@@ -236,40 +240,42 @@ class RunJournal:
     # -- writing -------------------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        try:
-            if self._handle is None:
-                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                is_new = not os.path.exists(self.path)
-                if not is_new:
-                    # A crash can leave a torn final line with no newline;
-                    # terminate it so the next record starts on its own
-                    # line instead of being glued to (and lost with) it.
-                    with open(self.path, "rb") as existing:
-                        existing.seek(0, os.SEEK_END)
-                        if existing.tell() > 0:
-                            existing.seek(-1, os.SEEK_END)
-                            torn = existing.read(1) != b"\n"
-                        else:
-                            torn = False
-                self._handle = open(self.path, "a", encoding="utf-8")
-                if not is_new and torn:
-                    self._handle.write("\n")
-                if is_new:
-                    self._append_raw(
-                        {
-                            "kind": "header",
-                            "run_id": self.run_id,
-                            "experiment": self.experiment,
-                            "schema": JOURNAL_SCHEMA_VERSION,
-                            "model": model_constants_fingerprint(),
-                            "created_unix": time.time(),
-                        }
-                    )
-            self._append_raw(record)
-        except OSError as exc:
-            raise JournalError(
-                f"cannot append to run journal {self.path}: {exc}"
-            ) from exc
+        with self._lock:
+            try:
+                if self._handle is None:
+                    os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+                    is_new = not os.path.exists(self.path)
+                    if not is_new:
+                        # A crash can leave a torn final line with no
+                        # newline; terminate it so the next record starts
+                        # on its own line instead of being glued to (and
+                        # lost with) it.
+                        with open(self.path, "rb") as existing:
+                            existing.seek(0, os.SEEK_END)
+                            if existing.tell() > 0:
+                                existing.seek(-1, os.SEEK_END)
+                                torn = existing.read(1) != b"\n"
+                            else:
+                                torn = False
+                    self._handle = open(self.path, "a", encoding="utf-8")
+                    if not is_new and torn:
+                        self._handle.write("\n")
+                    if is_new:
+                        self._append_raw(
+                            {
+                                "kind": "header",
+                                "run_id": self.run_id,
+                                "experiment": self.experiment,
+                                "schema": JOURNAL_SCHEMA_VERSION,
+                                "model": model_constants_fingerprint(),
+                                "created_unix": time.time(),
+                            }
+                        )
+                self._append_raw(record)
+            except OSError as exc:
+                raise JournalError(
+                    f"cannot append to run journal {self.path}: {exc}"
+                ) from exc
 
     def _append_raw(self, record: dict) -> None:
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -322,11 +328,12 @@ class RunJournal:
         self._complete = status == "complete"
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
+        with self._lock:
+            if self._handle is not None:
+                try:
+                    self._handle.close()
+                finally:
+                    self._handle = None
 
     def __enter__(self) -> "RunJournal":
         return self

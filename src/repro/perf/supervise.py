@@ -1,16 +1,16 @@
-"""Shared supervision primitives: retry backoff and crash-loop quarantine.
+"""Supervision primitives: retry backoff and crash-loop quarantine.
 
-Two supervisors in this codebase keep unreliable workers alive: the
-sweep executor's :class:`~repro.perf.sweep.WorkerSupervisor` (pool
-workers running independent bench points) and the serving fleet's
-:class:`~repro.serve.fleet.WorkerFleet` (long-lived compile workers
-behind the broker).  Both need the same two policies, factored here so
-they cannot drift:
+One supervisor in this codebase keeps unreliable worker processes
+alive: :class:`~repro.serve.fleet.WorkerFleet`, which runs the serving
+broker's compile jobs and the parallel sweep points of
+:mod:`repro.perf.sweep`.  The fleet respawns workers with the two
+policies here, and the sweep's retry loop paces point retries with the
+first:
 
 * :class:`BackoffPolicy` — capped exponential backoff with jitter.
-  Jitter matters whenever several failures land together (a pool crash
-  retries every in-flight job; a machine hiccup restarts several
-  workers): without it the retries re-collide in lockstep.
+  Jitter matters whenever several failures land together (a machine
+  hiccup fails several points or restarts several workers): without it
+  the retries re-collide in lockstep.
 * :class:`RespawnGovernor` — per-slot crash accounting.  A worker slot
   that keeps dying the moment it is respawned is in a crash loop;
   respawning it at full speed burns CPU and floods the logs without

@@ -3,36 +3,38 @@
 Every latency table/figure sweeps independent (flow x parameter)
 combinations: each run compiles and simulates its own design, nothing is
 shared except the content-addressed cache.  ``run_sweep`` fans those
-runs across a :class:`~concurrent.futures.ProcessPoolExecutor` and
-returns the results in submission order, so a table built from a sweep
-is identical to the serial one — the rows are pure functions of their
-inputs, only the wall clock changes.
+runs across the worker processes of a
+:class:`~repro.serve.fleet.WorkerFleet` — the same supervisor that runs
+``repro serve --fleet`` — and returns the results in submission order,
+so a table built from a sweep is identical to the serial one: the rows
+are pure functions of their inputs, only the wall clock changes.
 
-On top of the PR-1 executor this module adds the supervision layer a
-multi-hour campaign needs:
+On top of that the executor provides what a multi-hour campaign needs:
 
 * **journaled resume** — with an active :class:`~repro.perf.journal.RunJournal`
   every completed point is fsync'd to disk before the sweep moves on,
   and already-journaled points are merged instead of recomputed;
-* **worker supervision** — per-job wall-clock timeouts, bounded retry
-  with exponential backoff + jitter, and quarantine: a point that fails
-  ``max_attempts`` times lands in the outcome's ``failed`` list (its
-  result is ``None``) instead of aborting the sweep;
-* **pool respawn** — a worker that dies (``os._exit``, OOM-kill,
-  segfault) breaks a ``ProcessPoolExecutor`` permanently; the supervisor
-  respawns the pool and re-runs the in-flight jobs rather than
-  surfacing ``BrokenProcessPool``;
-* **clean interruption** — SIGINT/SIGTERM mid-sweep kills the pool,
-  leaves the journal flushed, and raises
-  :class:`~repro.errors.SweepInterrupted` carrying the partial results
-  so callers can emit a ``"partial": true`` record and exit 130.
+* **one retry loop** — a failing point is retried with exponential
+  backoff + jitter and quarantined after ``max_attempts`` failures: it
+  lands in the outcome's ``failed`` list (its result is ``None``)
+  instead of aborting the sweep.  The serial path and each of the
+  parallel path's driver threads (one per worker) run the same loop;
+* **worker supervision** — a point that dies with its worker
+  (``os._exit``, OOM-kill, segfault) or runs past its wall-clock
+  timeout is charged one attempt, and the fleet kills and replaces that
+  one worker; the other points run on undisturbed;
+* **clean interruption** — SIGINT/SIGTERM mid-sweep shuts the fleet
+  down (killing the workers of in-flight points), leaves the journal
+  flushed, and raises :class:`~repro.errors.SweepInterrupted` carrying
+  the partial results so callers can emit a ``"partial": true`` record
+  and exit 130.
 
 The job count resolves, in priority order: the explicit ``jobs``
 argument, the ``REPRO_BENCH_JOBS`` environment variable, then 1
-(serial).  ``--jobs 1`` is a genuine serial fallback: no pool, no
-pickling, no fork — and therefore no timeout enforcement or
-crash survival (a crashing point takes the process with it); retries,
-quarantine, and journaling still apply.
+(serial).  ``--jobs 1`` is a genuine serial fallback: no worker
+processes, no pickling, no fork — and therefore no timeout enforcement
+or crash survival (a crashing point takes the process with it);
+retries, quarantine, and journaling still apply.
 """
 
 from __future__ import annotations
@@ -42,13 +44,10 @@ import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..errors import SweepInterrupted
-from .cache import cache_stats, merge_stats
 from .journal import RunJournal, current_journal, spec_key
 from .supervise import BackoffPolicy
 
@@ -58,7 +57,7 @@ class SweepSpec:
     """One independent run of a sweep: a top-level callable plus inputs.
 
     ``fn`` must be picklable by reference (a module-level function) so
-    the process pool can ship it to workers; its return value crosses
+    the sweep can ship it to fleet workers; its return value crosses
     back the same way.
     """
 
@@ -108,7 +107,8 @@ class SweepOutcome:
     ``results`` is in submission order; quarantined points hold ``None``
     and appear in ``failed``.  The counters tell the story a long
     campaign's operator wants: how much was resumed from the journal,
-    how many retries and pool respawns the run survived.
+    how many retries the run survived, and how many worker processes
+    were replaced (``pool_respawns``) after a crash or a timeout.
     """
 
     results: list[Any] = field(default_factory=list)
@@ -153,28 +153,20 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
-def _worker_init() -> None:
-    """Reset signal dispositions in sweep workers.
+def _run_spec(
+    spec: SweepSpec, remaining_s: float | None = None
+) -> tuple[str | None, Any]:
+    """Run one point: ``(None, result)``, or ``(error, None)`` if it raised.
 
-    Workers must die silently on the supervisor's ``terminate()``
-    (SIGTERM) rather than run an inherited handler, and must ignore
-    Ctrl-C so the parent — not 2N broken workers — owns the one clean
-    interrupt path.
+    The fleet job of the parallel path (a point gets no deadline, so
+    ``remaining_s`` is unused) and the attempt of the serial path.  The
+    error text is made where the exception is, so a failure reads the
+    same on both paths.
     """
     try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-
-def _run_spec(spec: SweepSpec) -> tuple[Any, dict[str, Any]]:
-    """Worker body: run one spec and report the cache-stats delta."""
-    before = cache_stats().as_dict()
-    result = spec.fn(*spec.args, **spec.kwargs)
-    after = cache_stats().as_dict()
-    delta = {k: after[k] - before[k] for k in after}
-    return result, delta
+        return None, spec.fn(*spec.args, **spec.kwargs)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}", None
 
 
 #: Quarantined points from every sweep since the last drain — the CLI
@@ -190,251 +182,69 @@ def take_failure_report() -> list[SweepFailure]:
     return drained
 
 
-@dataclass(slots=True)
-class _Job:
-    """Supervisor-internal bookkeeping for one in-flight sweep point."""
+class _Driver:
+    """The retry/backoff/quarantine loop every sweep point runs.
 
-    index: int
-    spec: SweepSpec
-    key: str
-    attempts: int = 0
-    eligible_at: float = 0.0
-    started_at: float = 0.0
-    last_error: str = ""
-    #: True after this job was in flight during a pool crash: suspects
-    #: re-run one at a time so the next crash names the guilty job.
-    suspect: bool = False
-
-
-class WorkerSupervisor:
-    """Runs jobs on a respawnable process pool with timeouts and retries.
-
-    The supervisor never lets a single bad point abort the batch: a job
-    that raises is retried with exponential backoff + jitter; a job that
-    exceeds ``timeout_s`` has the whole pool killed (there is no way to
-    kill one ``ProcessPoolExecutor`` worker portably) and innocent
-    in-flight jobs re-run without an attempt penalty; a worker crash
-    (``BrokenProcessPool``) respawns the pool and penalizes every
-    in-flight job one attempt, since the crasher is unidentifiable.
-    After ``max_attempts`` failures a job is quarantined.
+    Shared by the serial path and the parallel path's driver threads,
+    so it records into the outcome and the journal under a lock.
     """
-
-    #: Poll interval of the supervision loop (also the granularity of
-    #: timeout detection), kept small relative to any real compile.
-    _POLL_S = 0.05
 
     def __init__(
         self,
-        workers: int,
-        timeout_s: float | None = None,
-        max_attempts: int = 3,
-        backoff_base_s: float = 0.1,
-        backoff_cap_s: float = 5.0,
+        outcome: SweepOutcome,
+        journal: RunJournal | None,
+        max_attempts: int,
+        backoff: BackoffPolicy,
     ):
-        self.workers = max(1, workers)
-        self.timeout_s = timeout_s
-        self.max_attempts = max(1, max_attempts)
-        self.backoff = BackoffPolicy(
-            base_s=max(0.0, backoff_base_s), cap_s=backoff_cap_s
-        )
-        self.respawns = 0
-        self.retries = 0
-        self._pool: ProcessPoolExecutor | None = None
+        self.outcome = outcome
+        self.journal = journal
+        self.max_attempts = max_attempts
+        self.backoff = backoff
+        #: Set to stop the sweep; it also cuts short a backoff wait.
+        self.stopped = threading.Event()
+        self._lock = threading.Lock()
 
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _pool_or_spawn(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_worker_init
-            )
-        return self._pool
-
-    def _kill_pool(self) -> None:
-        """Hard-stop the pool: terminate workers, drop the executor."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except Exception:
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    # -- retry policy --------------------------------------------------------
-
-    def _retry_or_quarantine(
+    def run_point(
         self,
-        job: _Job,
-        error: str,
-        pending: deque,
-        failures: list[SweepFailure],
-        penalty: int = 1,
+        attempt: Callable[[SweepSpec], tuple[str | None, Any]],
+        index: int,
+        spec: SweepSpec,
+        key: str,
     ) -> None:
-        job.attempts += penalty
-        job.last_error = error
-        if job.attempts >= self.max_attempts:
-            failures.append(
-                SweepFailure(
-                    index=job.index,
-                    key=job.key,
-                    label=job.spec.label(),
-                    error=error,
-                    attempts=job.attempts,
-                )
-            )
-            return
-        self.retries += 1
-        job.eligible_at = time.monotonic() + self.backoff.delay(job.attempts)
-        pending.append(job)
+        """Attempt one point until it succeeds or is quarantined.
 
-    # -- main loop -----------------------------------------------------------
-
-    def run(
-        self,
-        items: Sequence[tuple[int, SweepSpec, str]],
-        on_success: Callable[[_Job, Any], None],
-    ) -> list[SweepFailure]:
-        """Run every (index, spec, key) item; returns quarantined points.
-
-        Successes are delivered through ``on_success`` as they complete
-        (that is where the caller journals and merges stats), so a crash
-        of the *supervisor's own process* still leaves every delivered
-        point journaled.
+        ``attempt`` returns ``(error, result)`` the way :func:`_run_spec`
+        does.
         """
-        pending: deque[_Job] = deque(
-            _Job(index=i, spec=spec, key=key) for i, spec, key in items
-        )
-        running: dict[Any, _Job] = {}
-        failures: list[SweepFailure] = []
-        try:
-            while pending or running:
-                now = time.monotonic()
-                self._submit_eligible(pending, running, now)
-                if not running:
-                    # Everything is backing off: sleep to the earliest.
-                    wake = min(job.eligible_at for job in pending)
-                    time.sleep(max(0.0, min(wake - now, self.backoff.cap_s)))
-                    continue
-                done, _ = wait(
-                    list(running), timeout=self._POLL_S,
-                    return_when=FIRST_COMPLETED,
+        attempts = 0
+        while not self.stopped.is_set():
+            attempts += 1
+            start = time.monotonic()
+            error, result = attempt(spec)
+            if error is None:
+                with self._lock:
+                    self.outcome.results[index] = result
+                    self.outcome.completed += 1
+                if self.journal is not None:
+                    self.journal.record_point(
+                        key, result, label=spec.label(),
+                        elapsed_s=time.monotonic() - start,
+                    )
+                return
+            if attempts >= self.max_attempts:
+                failure = SweepFailure(
+                    index=index, key=key, label=spec.label(),
+                    error=error, attempts=attempts,
                 )
-                crashed = False
-                for future in done:
-                    job = running.pop(future)
-                    try:
-                        result, stats_delta = future.result()
-                    except BrokenProcessPool:
-                        crashed = True
-                        job.suspect = True
-                        self._retry_or_quarantine(
-                            job, "worker process died (pool crashed)",
-                            pending, failures,
-                        )
-                    except Exception as exc:
-                        self._retry_or_quarantine(
-                            job, f"{type(exc).__name__}: {exc}",
-                            pending, failures,
-                        )
-                    else:
-                        merge_stats(stats_delta)
-                        on_success(job, result)
-                if crashed:
-                    self._handle_crash(running, pending, failures)
-                elif self.timeout_s is not None:
-                    self._handle_timeouts(running, pending, failures)
-        except (KeyboardInterrupt, SystemExit):
-            self._kill_pool()
-            raise
-        finally:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
-        return failures
-
-    def _submit_eligible(
-        self, pending: deque, running: dict, now: float
-    ) -> None:
-        # Never queue more than `workers` jobs inside the executor, so
-        # `started_at` measures actual run time, not queue wait.
-        #
-        # Crash triage: while any suspect exists, exactly one suspect
-        # runs and nothing else — a crash then charges only the job
-        # that was provably running, so an innocent point can never be
-        # quarantined by a neighbour's repeated crashes.
-        triage = any(j.suspect for j in pending) or any(
-            j.suspect for j in running.values()
-        )
-        suspect_in_flight = any(j.suspect for j in running.values())
-        eligible = deque()
-        while pending:
-            job = pending.popleft()
-            allowed = job.eligible_at <= now and len(running) < self.workers
-            if triage:
-                allowed = allowed and job.suspect and not suspect_in_flight
-            if allowed:
-                pool = self._pool_or_spawn()
-                try:
-                    future = pool.submit(_run_spec, job.spec)
-                except BrokenProcessPool:
-                    # Pool broke between batches: respawn and retry.
-                    self.respawns += 1
-                    self._kill_pool()
-                    eligible.append(job)
-                    continue
-                job.started_at = time.monotonic()
-                running[future] = job
-                suspect_in_flight = suspect_in_flight or job.suspect
-            else:
-                eligible.append(job)
-        pending.extend(eligible)
-
-    def _handle_crash(
-        self, running: dict, pending: deque, failures: list[SweepFailure]
-    ) -> None:
-        """A worker died; every in-flight future is unrecoverable."""
-        self.respawns += 1
-        self._kill_pool()
-        for future, job in list(running.items()):
-            job.suspect = True
-            self._retry_or_quarantine(
-                job, "worker process died (pool crashed)", pending, failures
-            )
-        running.clear()
-
-    def _handle_timeouts(
-        self, running: dict, pending: deque, failures: list[SweepFailure]
-    ) -> None:
-        now = time.monotonic()
-        overdue = {
-            future: job
-            for future, job in running.items()
-            if now - job.started_at > self.timeout_s
-        }
-        if not overdue:
-            return
-        # A hung worker cannot be killed individually: take the pool
-        # down, charge the overdue jobs, and re-run the innocent ones
-        # with no attempt penalty.
-        self.respawns += 1
-        self._kill_pool()
-        for future, job in list(running.items()):
-            del running[future]
-            if future in overdue:
-                self._retry_or_quarantine(
-                    job,
-                    f"timed out after {self.timeout_s:g}s",
-                    pending,
-                    failures,
-                )
-            else:
-                job.eligible_at = 0.0
-                pending.append(job)
+                with self._lock:
+                    self.outcome.failed.append(failure)
+                    _FAILURE_LOG.append(failure)
+                if self.journal is not None:
+                    self.journal.record_failure(key, error, label=failure.label)
+                return
+            with self._lock:
+                self.outcome.retried += 1
+            self.stopped.wait(self.backoff.delay(attempts))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +276,9 @@ def run_sweep_outcome(
             with +-25% jitter.
 
     SIGINT/SIGTERM during the sweep raise
-    :class:`~repro.errors.SweepInterrupted` after the pool is torn down;
-    every already-completed point is journaled, so ``--resume`` picks up
-    exactly where the signal landed.
+    :class:`~repro.errors.SweepInterrupted` after the workers are torn
+    down; every already-completed point is journaled, so ``--resume``
+    picks up exactly where the signal landed.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -503,48 +313,17 @@ def run_sweep_outcome(
     if not todo:
         return outcome
 
-    def record_success(index: int, spec: SweepSpec, key: str, result: Any,
-                       elapsed_s: float) -> None:
-        outcome.results[index] = result
-        outcome.completed += 1
-        if journal is not None:
-            journal.record_point(
-                key, result, label=spec.label(), elapsed_s=elapsed_s
-            )
-
-    def record_failure(failure: SweepFailure) -> None:
-        outcome.failed.append(failure)
-        _FAILURE_LOG.append(failure)
-        if journal is not None:
-            journal.record_failure(
-                failure.key, failure.error, label=failure.label
-            )
-
+    driver = _Driver(
+        outcome, journal, max_attempts,
+        BackoffPolicy(base_s=max(0.0, backoff)),
+    )
     with _deliver_sigterm_as_interrupt():
         try:
             if jobs <= 1 or len(todo) <= 1:
-                _run_serial(
-                    todo, record_success, record_failure,
-                    max_attempts=max_attempts, backoff_base_s=backoff,
-                )
+                for item in todo:
+                    driver.run_point(_run_spec, *item)
             else:
-                supervisor = WorkerSupervisor(
-                    workers=min(jobs, len(todo)),
-                    timeout_s=timeout_s,
-                    max_attempts=max_attempts,
-                    backoff_base_s=backoff,
-                )
-
-                def on_success(job: _Job, result: Any) -> None:
-                    record_success(
-                        job.index, job.spec, job.key, result,
-                        time.monotonic() - job.started_at,
-                    )
-
-                for failure in supervisor.run(todo, on_success):
-                    record_failure(failure)
-                outcome.retried += supervisor.retries
-                outcome.pool_respawns += supervisor.respawns
+                _run_on_fleet(driver, todo, min(jobs, len(todo)), timeout_s)
         except KeyboardInterrupt:
             outcome.partial = True
             raise SweepInterrupted(
@@ -558,47 +337,91 @@ def run_sweep_outcome(
     return outcome
 
 
-def _run_serial(
+def _run_on_fleet(
+    driver: _Driver,
     todo: list[tuple[int, SweepSpec, str]],
-    record_success,
-    record_failure,
-    max_attempts: int,
-    backoff_base_s: float,
+    workers: int,
+    timeout_s: float | None,
 ) -> None:
-    """In-process execution with the same retry/quarantine contract.
+    """Run the points on a fleet of ``workers`` processes.
 
-    No pool means no timeout enforcement and no crash survival — but a
-    raising point is still retried with backoff and quarantined instead
-    of aborting the batch, and every success is journaled immediately.
+    One driver thread per worker takes the next point and runs the
+    retry loop on it, each attempt a fleet job.  The fleet is imported
+    here, not at module load: ``repro.serve.fleet`` imports
+    ``repro.perf.supervise``, and loading ``repro.perf`` must not load
+    ``repro.serve``.
     """
-    backoff = BackoffPolicy(base_s=max(0.0, backoff_base_s))
-    for index, spec, key in todo:
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.monotonic()
-            try:
-                result = spec.fn(*spec.args, **spec.kwargs)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                if attempts >= max_attempts:
-                    record_failure(
-                        SweepFailure(
-                            index=index,
-                            key=key,
-                            label=spec.label(),
-                            error=f"{type(exc).__name__}: {exc}",
-                            attempts=attempts,
-                        )
-                    )
-                    break
-                time.sleep(backoff.delay(attempts))
-            else:
-                record_success(
-                    index, spec, key, result, time.monotonic() - start
-                )
-                break
+    from ..errors import (
+        DeadlineExceededError,
+        DrainingError,
+        TapaCSError,
+        WorkerCrashError,
+    )
+    from ..serve.fleet import FleetConfig, WorkerFleet
+    from .cache import get_cache
+
+    fleet = WorkerFleet(FleetConfig(
+        workers=workers,
+        # A crash costs the point one attempt and the slot a fresh
+        # worker, nothing more: the retry loop paces and quarantines
+        # points, so the fleet neither fails over nor backs off.
+        max_failovers=0,
+        respawn_backoff=BackoffPolicy(base_s=0.0),
+        quarantine_cooldown_s=0.0,
+        # Workers keep this process's memory-tier bound (0: unbounded).
+        worker_cache_entries=get_cache().memory_limit,
+    ))
+
+    def attempt(spec: SweepSpec) -> tuple[str | None, Any]:
+        try:
+            return fleet.run(spec, None, _run_spec, timeout_s)[0]
+        except DrainingError:
+            raise  # the sweep is being torn down
+        except WorkerCrashError:
+            return "worker process died", None
+        except DeadlineExceededError:
+            return f"timed out after {timeout_s:g}s", None
+        except TapaCSError as exc:  # a point or result that will not pickle
+            return f"{type(exc).__name__}: {exc}", None
+
+    pending = deque(todo)
+    errors: list[BaseException] = []
+
+    def drive() -> None:
+        try:
+            while not driver.stopped.is_set():
+                try:
+                    item = pending.popleft()
+                except IndexError:
+                    return
+                driver.run_point(attempt, *item)
+        except DrainingError:
+            pass  # the fleet shut down under an interrupted sweep
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+            driver.stopped.set()
+
+    threads = [
+        threading.Thread(target=drive, name=f"repro-sweep-{i}", daemon=True)
+        for i in range(workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    finally:
+        # On an interrupt this fails the in-flight points and kills
+        # their workers; their driver threads then exit.
+        driver.stopped.set()
+        fleet.shutdown()
+        for thread in threads:
+            thread.join()
+        driver.outcome.pool_respawns += (
+            fleet.counters["respawns"] + fleet.counters["abandoned_kills"]
+        )
+    if errors:
+        raise errors[0]
 
 
 def _raise_interrupt(signum, frame):

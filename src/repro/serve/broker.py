@@ -202,6 +202,51 @@ class CompileRequest:
     idempotency_key: str | None = None
 
 
+def run_request(request: CompileRequest, deadline: Deadline | None) -> Any:
+    """Compile one request, then simulate it if it asks for that.
+
+    The one request body: broker threads call it in-process, fleet
+    workers through :func:`repro.serve.fleet._run_one_request`.  Returns
+    the design, or ``(design, result)`` for a ``simulate`` request.
+    """
+    from ..core.compiler import CompilerConfig, compile_design
+    from ..perf.cache import cached_compile, cached_simulate
+    from ..sim.execution import SimulationConfig, simulate
+
+    config = request.config or CompilerConfig()
+    with deadline_scope(deadline):
+        compile_fn = cached_compile if request.use_cache else compile_design
+        design = compile_fn(
+            request.graph, request.cluster, config,
+            flow=request.flow, faults=request.faults,
+        )
+        if request.kind != "simulate":
+            return design
+        sim_config = request.sim_config or SimulationConfig()
+        simulate_fn = cached_simulate if request.use_cache else simulate
+        return design, simulate_fn(design, sim_config, faults=request.faults)
+
+
+def _run_in_thread(
+    request: CompileRequest, deadline: Deadline | None
+) -> tuple[Any, list[dict]]:
+    """:func:`run_request` on this thread, with the fleet's contract.
+
+    Returns ``(value, ladder_entries)``, or raises with the entries
+    attached as ``exc.ladder_entries``, exactly as
+    :meth:`WorkerFleet.run <repro.serve.fleet.WorkerFleet.run>` does.
+    """
+    from ..core.ladder import drain_ladder_log
+
+    drain_ladder_log()  # discard stale entries from earlier work
+    try:
+        value = run_request(request, deadline)
+    except BaseException as exc:
+        exc.ladder_entries = drain_ladder_log()  # type: ignore[attr-defined]
+        raise
+    return value, drain_ladder_log()
+
+
 class _Pending:
     """A submitted request plus its completion state.
 
@@ -878,10 +923,7 @@ class CompileService:
                 pending.event.set()
 
     def _run(self, pending: _Pending) -> Any:
-        from ..core.compiler import CompilerConfig, compile_design
-        from ..core.ladder import drain_ladder_log
-        from ..perf.cache import cached_compile, cached_simulate
-        from ..sim.execution import SimulationConfig, simulate
+        from ..core.compiler import CompilerConfig
 
         request = pending.request
         deadline = pending.deadline
@@ -916,91 +958,25 @@ class CompileService:
                 config = replace(config, ladder_start=clamped)
                 with self._lock:
                     self.counters["brownout_degraded"] += 1
-
-        if self.fleet is not None:
-            return self._run_on_fleet(
-                pending, config, ilp_allowed, synth_breaker, sim_breaker
-            )
-
-        drain_ladder_log()  # discard stale entries from earlier work
-        try:
-            with deadline_scope(deadline):
-                if request.use_cache:
-                    design = cached_compile(
-                        request.graph,
-                        request.cluster,
-                        config,
-                        flow=request.flow,
-                        faults=request.faults,
-                    )
-                else:
-                    design = compile_design(
-                        request.graph,
-                        request.cluster,
-                        config,
-                        flow=request.flow,
-                        faults=request.faults,
-                    )
-                if request.kind == "simulate":
-                    sim_config = request.sim_config or SimulationConfig()
-                    if request.use_cache:
-                        result = cached_simulate(
-                            design, sim_config, faults=request.faults
-                        )
-                    else:
-                        result = simulate(
-                            design, sim_config, faults=request.faults
-                        )
-        except BaseException as exc:
-            stage = getattr(exc, "stage", "")
-            self._feed_ilp_breaker(exc, drain_ladder_log(), ilp_allowed)
-            if isinstance(exc, SynthesisError) or stage == "synthesis":
-                synth_breaker.record_failure()
-            else:
-                synth_breaker.release()
-            if request.kind == "simulate":
-                if isinstance(exc, SimulationError) or stage == "simulation":
-                    sim_breaker.record_failure()
-                else:
-                    sim_breaker.release()
-            raise
-        self._feed_ilp_breaker(None, drain_ladder_log(), ilp_allowed)
-        synth_breaker.record_success()
-        if getattr(design, "floorplan_tier", "full") != "full":
-            with self._lock:
-                self.counters["degraded_tier"] += 1
-        if request.kind == "simulate":
-            sim_breaker.record_success()
-            return design, result
-        return design
-
-    def _run_on_fleet(
-        self,
-        pending: _Pending,
-        config: Any,
-        ilp_allowed: bool,
-        synth_breaker: CircuitBreaker,
-        sim_breaker: CircuitBreaker,
-    ) -> Any:
-        """Dispatch one request to a worker process and digest the outcome.
-
-        The worker executes the compile in full isolation; what comes
-        back over the pipe — the value or a decoded exception, plus the
-        floorplan-ladder evidence the worker drained — feeds the exact
-        same breaker logic as the in-thread path, so a sick solver in a
-        child process still opens the parent's ILP breaker.
-        """
-        request = pending.request
         if config is not request.config:
             # The breaker-forced greedy tier (or a defaulted config)
-            # must cross the pipe with the request.
+            # travels with the request, across the fleet pipe too.
             request = replace(request, config=config)
+
+        # Either way the outcome — the value or the exception, plus the
+        # floorplan-ladder evidence — feeds the same breaker logic, so a
+        # sick solver in a child process still opens the parent's ILP
+        # breaker.
         try:
-            value, ladder_entries = self.fleet.run(request, pending.deadline)
+            if self.fleet is not None:
+                value, entries = self.fleet.run(request, deadline)
+            else:
+                value, entries = _run_in_thread(request, deadline)
         except BaseException as exc:
+            self._feed_ilp_breaker(
+                exc, getattr(exc, "ladder_entries", []), ilp_allowed
+            )
             stage = getattr(exc, "stage", "")
-            entries = getattr(exc, "ladder_entries", [])
-            self._feed_ilp_breaker(exc, entries, ilp_allowed)
             if isinstance(exc, SynthesisError) or stage == "synthesis":
                 synth_breaker.record_failure()
             else:
@@ -1011,7 +987,7 @@ class CompileService:
                 else:
                     sim_breaker.release()
             raise
-        self._feed_ilp_breaker(None, ladder_entries, ilp_allowed)
+        self._feed_ilp_breaker(None, entries, ilp_allowed)
         synth_breaker.record_success()
         design = value[0] if request.kind == "simulate" else value
         if getattr(design, "floorplan_tier", "full") != "full":
@@ -1197,11 +1173,11 @@ _GLOBAL_LOCK = threading.Lock()
 
 
 def _after_fork_in_child() -> None:
-    # Sweep workers are forked processes (perf.sweep's pool), and a fork
-    # can land while the parent's service holds in-flight bookkeeping
-    # that is meaningless without its worker threads.  Drop the
-    # inherited service and its lock wholesale; the child builds a fresh
-    # one from the environment on first use.
+    # Fleet workers (serving and parallel sweeps alike) are forked
+    # processes, and a fork can land while the parent's service holds
+    # in-flight bookkeeping that is meaningless without its worker
+    # threads.  Drop the inherited service and its lock wholesale; the
+    # child builds a fresh one from the environment on first use.
     global _GLOBAL_SERVICE, _GLOBAL_LOCK
     _GLOBAL_LOCK = threading.Lock()
     _GLOBAL_SERVICE = None

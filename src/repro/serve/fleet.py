@@ -1,11 +1,13 @@
-"""Process-isolated compile workers: supervision, failover, hedging.
+"""Process-isolated workers: supervision, failover, hedging.
 
 The in-process broker (:mod:`repro.serve.broker`) runs requests on
 worker *threads*; one segfaulting native solver, one OOM kill, or one
 wedged extension call takes the whole service down with it.  This
 module provides the fleet tier: N forked **worker processes**, each a
 fully isolated compile engine, supervised by a monitor thread in the
-serving process.
+parent process.  It is the codebase's one process supervisor: the
+broker sends compile requests to it, and ``run_sweep``
+(:mod:`repro.perf.sweep`) runs its parallel sweep points on it.
 
 Supervision contract:
 
@@ -15,10 +17,14 @@ Supervision contract:
   held, swapping) and is SIGKILLed.  Crashes (preemption, OOM, chaos
   ``kill -9``) are caught the same tick via ``Process.is_alive()``.
 * **respawn with backoff** — each worker *slot* has a
-  :class:`~repro.perf.supervise.RespawnGovernor` (the same primitives
-  as the sweep supervisor): respawns ride a capped exponential backoff
-  and a slot that crash-loops is quarantined for a cooldown instead of
-  burning CPU on doomed forks.
+  :class:`~repro.perf.supervise.RespawnGovernor`: respawns ride a
+  capped exponential backoff and a slot that crash-loops is quarantined
+  for a cooldown instead of burning CPU on doomed forks.
+* **abandoned jobs** — when the waiter of a job gives up (its deadline
+  plus detection slack, or the caller's own ``timeout_s``), every worker
+  still running that job is SIGKILLed and replaced at once.  Like a
+  rolling-restart recycle, that replacement bypasses the governor: the
+  worker did not crash.  The slot is free again for the next job.
 * **failover** — a job that was in flight on a crashed worker is
   re-dispatched to a healthy one.  This is safe because compiles are
   idempotent under their content fingerprint: re-running produces a
@@ -44,11 +50,15 @@ Supervision contract:
   fails over through the existing requeue path — so a deploy is
   invisible to clients beyond momentarily reduced parallelism.
 
-Results, errors, the floorplan-ladder evidence the circuit breakers
-feed on, and cache-stats deltas all travel back over the pipe; errors
-are re-raised in the submitting thread as their original exception
-types (see :func:`encode_error` / :func:`decode_error` — exceptions
-with non-trivial constructors cannot be pickled directly).
+Each job crosses the pipe as a module-level function plus its payload,
+``fn(payload, remaining_s)``: the broker's requests go to
+:func:`_run_one_request`, sweep points to their own function.  The
+worker loop does the generic part once for every job: it drains the
+floorplan-ladder log the circuit breakers feed on and takes the
+cache-stats delta, and both travel back with the result or the error.
+Errors are re-raised in the submitting thread as their original
+exception types (see :func:`encode_error` / :func:`decode_error` —
+exceptions with non-trivial constructors cannot be pickled directly).
 
 Chaos knobs (tests only): ``REPRO_CHAOS_FLEET_EXIT_SLOT`` makes one
 first-generation worker ``os._exit`` on its first job,
@@ -68,9 +78,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
-from typing import Any
+from typing import Any, Callable
 
-from ..deadline import Deadline, deadline_from_wire, deadline_scope, deadline_to_wire
+from ..deadline import Deadline, deadline_from_wire, deadline_to_wire
 from ..errors import (
     CircuitOpenError,
     CommunicationError,
@@ -300,58 +310,18 @@ def _apply_chaos(slot: int, generation: int, jobs_seen: int, state: dict) -> Non
         time.sleep(slow_s)  # a straggler: alive and beating, just slow
 
 
-def _run_one_request(
-    request: Any, remaining_s: float | None
-) -> tuple[Any, dict | None, list[dict], dict]:
-    """Execute one request in this worker.
+def _run_one_request(request: Any, remaining_s: float | None) -> Any:
+    """The broker's fleet job: one compile request in this worker.
 
-    Returns ``(value, error_document, ladder_entries, cache_stats_delta)``
-    — exactly one of value / error_document is meaningful.  The ladder
-    entries and stats delta are captured on *both* paths: a failed
-    request still carries the solver evidence the parent's breakers eat.
+    The request runs under the deadline that crossed the pipe, through
+    the same body as a broker thread (:func:`~repro.serve.broker.run_request`).
     """
-    from ..core.compiler import CompilerConfig, compile_design
-    from ..core.ladder import drain_ladder_log
-    from ..perf.cache import cache_stats, cached_compile, cached_simulate
-    from ..sim.execution import SimulationConfig, simulate
+    from .broker import run_request
 
     deadline = deadline_from_wire(remaining_s)
-    drain_ladder_log()
-    before = cache_stats().as_dict()
-    value: Any = None
-    error: dict | None = None
-    try:
-        if deadline is not None and deadline.expired:
-            raise DeadlineExceededError("fleet dispatch", deadline.total_s)
-        config = request.config or CompilerConfig()
-        with deadline_scope(deadline):
-            if request.use_cache:
-                design = cached_compile(
-                    request.graph, request.cluster, config,
-                    flow=request.flow, faults=request.faults,
-                )
-            else:
-                design = compile_design(
-                    request.graph, request.cluster, config,
-                    flow=request.flow, faults=request.faults,
-                )
-            if request.kind == "simulate":
-                sim_config = request.sim_config or SimulationConfig()
-                if request.use_cache:
-                    result = cached_simulate(
-                        design, sim_config, faults=request.faults
-                    )
-                else:
-                    result = simulate(design, sim_config, faults=request.faults)
-                value = (design, result)
-            else:
-                value = design
-    except BaseException as exc:  # noqa: BLE001 - relayed over the pipe
-        error = encode_error(exc)
-    entries = drain_ladder_log()
-    after = cache_stats().as_dict()
-    delta = {key: after[key] - before[key] for key in after}
-    return value, error, entries, delta
+    if deadline is not None and deadline.expired:
+        raise DeadlineExceededError("fleet dispatch", deadline.total_s)
+    return run_request(request, deadline)
 
 
 def _worker_main(
@@ -361,7 +331,8 @@ def _worker_main(
     # The at-fork hooks already gave this child a fresh service/cache;
     # bound the memory tier so N workers hold N small LRUs over the one
     # shared disk store.
-    from ..perf.cache import configure_cache
+    from ..core.ladder import drain_ladder_log
+    from ..perf.cache import cache_stats, configure_cache
 
     configure_cache(memory_limit=cache_entries)
     try:
@@ -388,7 +359,7 @@ def _worker_main(
             if state["wedged"]:
                 continue
             if os.getppid() != parent_pid:
-                os._exit(0)  # orphaned: the serving process died
+                os._exit(0)  # orphaned: the parent process died
             send(("hb", os.getpid(), state["job"]))
 
     threading.Thread(target=beat, name="fleet-heartbeat", daemon=True).start()
@@ -402,27 +373,35 @@ def _worker_main(
             break
         if not message or message[0] == "stop":
             break
-        _, job_id, request, remaining_s = message
+        _, job_id, fn, payload, remaining_s = message
         jobs_seen += 1
         state["job"] = job_id
         _apply_chaos(slot, generation, jobs_seen, state)
-        value, error, entries, delta = _run_one_request(request, remaining_s)
+        # The ladder entries and stats delta are captured on *both*
+        # paths: a failed job still carries the solver evidence the
+        # parent's breakers eat.
+        drain_ladder_log()
+        before = cache_stats().as_dict()
+        try:
+            reply: tuple = ("ok", job_id, fn(payload, remaining_s))
+        except BaseException as exc:  # noqa: BLE001 - relayed over the pipe
+            reply = ("err", job_id, encode_error(exc))
+        entries = drain_ladder_log()
+        after = cache_stats().as_dict()
+        delta = {key: after[key] - before[key] for key in after}
         state["job"] = None
-        if error is None:
-            try:
-                send(("ok", job_id, value, entries, delta))
-            except Exception:
-                # The artifact itself would not pickle; the job is not
-                # lost — it becomes a typed failure, not a hang.
-                send((
-                    "err", job_id,
-                    {"type": "TapaCSError",
-                     "message": "compile result is not picklable across "
-                                "the fleet pipe"},
-                    entries, delta,
-                ))
-        else:
-            send(("err", job_id, error, entries, delta))
+        try:
+            send(reply + (entries, delta))
+        except Exception:
+            # The result itself would not pickle; the job is not lost —
+            # it becomes a typed failure, not a hang.
+            send((
+                "err", job_id,
+                {"type": "TapaCSError",
+                 "message": "job result is not picklable across "
+                            "the fleet pipe"},
+                entries, delta,
+            ))
     conn.close()
 
 
@@ -432,16 +411,19 @@ def _worker_main(
 
 
 class _FleetJob:
-    """One request in flight through the fleet."""
+    """One job in flight through the fleet."""
 
     __slots__ = (
-        "id", "request", "deadline", "event", "value", "error",
+        "id", "fn", "request", "deadline", "event", "value", "error",
         "ladder_entries", "failovers", "assignments", "first_slot",
         "hedges", "done", "queued_at",
     )
 
-    def __init__(self, job_id: int, request: Any, deadline: Deadline | None):
+    def __init__(
+        self, job_id: int, fn: Any, request: Any, deadline: Deadline | None
+    ):
         self.id = job_id
+        self.fn = fn
         self.request = request
         self.deadline = deadline
         self.event = threading.Event()
@@ -522,6 +504,7 @@ class WorkerFleet:
             "hedge_wins": 0,
             "respawns": 0,
             "recycled": 0,
+            "abandoned_kills": 0,
             "rolling_restarts": 0,
             "worker_crashes": 0,
             "wedge_kills": 0,
@@ -692,35 +675,47 @@ class WorkerFleet:
             return handle
         return fallback
 
+    def _replace(self, handle: _WorkerHandle, graceful: bool) -> None:
+        """Stop one worker and spawn its slot's next generation.
+
+        Called with the lock held.  A planned replacement — a rolling
+        restart's recycle, or the kill of a worker whose job nobody waits
+        for any more — bypasses the respawn governor entirely: it is not
+        a crash, must not accrue backoff, and must not push a slot toward
+        quarantine.
+        """
+        handle.state = "dead"
+        handle.job = None
+        try:
+            if graceful:
+                handle.conn.send(("stop",))
+            else:
+                handle.process.kill()
+        except (OSError, ValueError):
+            pass
+        try:
+            handle.conn.close()
+        except OSError:
+            pass
+        handle.process.join(timeout=1.0)
+        if handle.process.is_alive():
+            handle.process.terminate()
+            handle.process.join(timeout=1.0)
+        self._workers[handle.slot] = self._spawn(
+            handle.slot, handle.generation + 1
+        )
+
     def _recycle_retiring(self) -> None:
         """Replace idle retiring workers with a fresh generation.
 
-        Called with the lock held.  A clean recycle bypasses the respawn
-        governor entirely: a planned restart is not a crash, must not
-        accrue backoff, and must not push a slot toward quarantine.
+        Called with the lock held.
         """
         if self._stopped:
             return
-        for index, handle in enumerate(self._workers):
-            if not handle.retiring or handle.state != "idle":
-                continue
-            handle.state = "dead"
-            try:
-                handle.conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.process.join(timeout=1.0)
-            if handle.process.is_alive():
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-            self.counters["recycled"] += 1
-            self._workers[index] = self._spawn(
-                handle.slot, handle.generation + 1
-            )
+        for handle in list(self._workers):
+            if handle.retiring and handle.state == "idle":
+                self.counters["recycled"] += 1
+                self._replace(handle, graceful=True)
 
     def _dispatch_queued(self) -> None:
         while self._queue:
@@ -736,9 +731,10 @@ class WorkerFleet:
 
     def _dispatch(self, job: _FleetJob, handle: _WorkerHandle) -> bool:
         try:
-            handle.conn.send(
-                ("job", job.id, job.request, deadline_to_wire(job.deadline))
-            )
+            handle.conn.send((
+                "job", job.id, job.fn, job.request,
+                deadline_to_wire(job.deadline),
+            ))
         except OSError:
             # Broken pipe: the worker died between ticks.  Put the job
             # back first so crash handling can't exhaust its failovers
@@ -747,8 +743,8 @@ class WorkerFleet:
             self._on_worker_down(handle, "pipe broke on dispatch")
             return False
         except Exception as exc:
-            # The request itself would not pickle — a caller bug, not a
-            # worker failure.
+            # The request (or its job function) would not pickle — a
+            # caller bug, not a worker failure.
             self._finish(
                 job,
                 error=TapaCSError(
@@ -818,33 +814,48 @@ class WorkerFleet:
     # -- the caller-facing protocol ------------------------------------------
 
     def run(
-        self, request: Any, deadline: Deadline | None
+        self,
+        request: Any,
+        deadline: Deadline | None,
+        fn: Callable[[Any, float | None], Any] | None = None,
+        timeout_s: float | None = None,
     ) -> tuple[Any, list[dict]]:
-        """Execute one request on the fleet; blocks until the outcome.
+        """Execute one job on the fleet; blocks until the outcome.
+
+        A worker calls ``fn(request, remaining_s)``, where ``fn`` is a
+        module-level function (it crosses the pipe by reference) and
+        defaults to :func:`_run_one_request`, the broker's compile job.
+        ``timeout_s`` bounds the wait; by default it is the deadline's
+        remaining time plus detection slack (no deadline: no bound).  A
+        job still unanswered then fails with
+        :class:`DeadlineExceededError` and the workers running it are
+        killed and replaced.
 
         Returns ``(value, ladder_entries)``; re-raises the worker's
         exception (decoded to its original type) on failure, with the
         ladder evidence attached as ``exc.ladder_entries`` so the
         broker's breakers see it.
         """
+        # Looked up per call, never bound at import: pickle sends a
+        # function by its module attribute, so it must be that object.
+        fn = fn or _run_one_request
         with self._lock:
             if self._stopped or self._draining:
                 raise DrainingError(
                     "fleet is draining; retry against a fresh instance",
                     retry_after_s=self.config.drain_timeout_s,
                 )
-            job = _FleetJob(next(self._job_ids), request, deadline)
+            job = _FleetJob(next(self._job_ids), fn, request, deadline)
             self._jobs[job.id] = job
             self._queue.append(job)
         # The worker enforces the deadline *inside* the compile; this
         # outer wait only catches a fleet that cannot answer at all
         # (every worker crash-looping), with slack for detection.
-        timeout = None
-        if deadline is not None:
-            timeout = max(deadline.remaining(), 0.0) + max(
+        if timeout_s is None and deadline is not None:
+            timeout_s = max(deadline.remaining(), 0.0) + max(
                 2.0, 2 * self.config.liveness_timeout_s
             )
-        if not job.event.wait(timeout):
+        if not job.event.wait(timeout_s):
             with self._lock:
                 if not job.done:
                     self._finish(
@@ -853,6 +864,10 @@ class WorkerFleet:
                             "fleet wait", getattr(deadline, "total_s", None)
                         ),
                     )
+                    for handle in list(self._workers):
+                        if handle.job is job:
+                            self.counters["abandoned_kills"] += 1
+                            self._replace(handle, graceful=False)
         if job.error is not None:
             job.error.ladder_entries = job.ladder_entries  # type: ignore[attr-defined]
             raise job.error
@@ -1010,7 +1025,12 @@ class WorkerFleet:
             self._monitor.join(timeout=2.0)
         for handle in handles:
             try:
-                handle.conn.send(("stop",))
+                if handle.state == "busy":
+                    # Its job was failed above and nobody waits for it:
+                    # do not wait for the job either.
+                    handle.process.kill()
+                else:
+                    handle.conn.send(("stop",))
             except (OSError, ValueError):
                 pass
         deadline = time.monotonic() + timeout_s

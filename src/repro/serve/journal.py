@@ -185,7 +185,9 @@ class ServeJournal:
         self._handle = None
         self._lockfile = None
         self._closed = False
-        self._last_checkpoint = 0.0
+        #: Monotonic time of the last checkpoint; None until the first,
+        #: which is never throttled (monotonic time may start near 0).
+        self._last_checkpoint: float | None = None
         self._checkpoint_state: dict | None = None
         #: Folded live entries (incomplete + completed-within-TTL).
         self._entries: dict[str, JournalEntry] = {}
@@ -628,6 +630,7 @@ class ServeJournal:
         with self._lock:
             if (
                 not force
+                and self._last_checkpoint is not None
                 and now - self._last_checkpoint < self.checkpoint_interval_s
             ):
                 return False

@@ -3,7 +3,8 @@
 
 1. Run ``repro bench sweep_smoke`` uninterrupted → reference rows.
 2. Start the same bench with a journal, SIGKILL it once at least one
-   sweep point is journaled.
+   sweep point is journaled, and require every worker process it had
+   to be gone 2 s later (workers must not outlive their parent).
 3. Rerun with ``--resume`` against a *cold* cache, so any skipped work
    can only have come from the journal.
 4. Require the resumed table to equal the reference byte for byte.
@@ -71,6 +72,35 @@ def journal_points(base: str) -> int:
     return count
 
 
+def _proc_stat(pid: int) -> tuple[str, int] | None:
+    """(state, parent pid) of a process from /proc; None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def child_pids(pid: int) -> list[int]:
+    """The live child processes of ``pid`` (Linux; empty without /proc)."""
+    if not os.path.isdir("/proc"):
+        return []
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                children.append(int(entry))
+    return children
+
+
+def pid_alive(pid: int) -> bool:
+    """Is ``pid`` still running (an unreaped zombie is not)?"""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
 def main() -> int:
     base = tempfile.mkdtemp(prefix="kill-resume-smoke-")
     print(f"work dir: {base}")
@@ -90,8 +120,10 @@ def main() -> int:
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     deadline = time.monotonic() + 300
+    workers: list[int] = []
     while victim.poll() is None and time.monotonic() < deadline:
         if journal_points(base) >= 1:
+            workers = child_pids(victim.pid)
             victim.send_signal(signal.SIGKILL)
             break
         time.sleep(0.02)
@@ -107,6 +139,14 @@ def main() -> int:
     if survived < 1:
         print("FAIL: no point survived in the journal", file=sys.stderr)
         return 1
+    if workers:
+        time.sleep(2.0)
+        orphans = [pid for pid in workers if pid_alive(pid)]
+        if orphans:
+            print(f"FAIL: worker process(es) {orphans} outlived the killed "
+                  "run by 2 s", file=sys.stderr)
+            return 1
+        print(f"all {len(workers)} worker process(es) exited after the kill")
 
     # 3. Resume with a cold cache: merged points come from the journal.
     resumed = subprocess.run(

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 from repro.perf.journal import RunJournal, spec_key
 from repro.perf.sweep import SweepSpec, run_sweep_outcome
@@ -102,6 +104,51 @@ def test_failed_points_are_retried_on_resume(tmp_path):
     )
     assert outcome.results == [42]
     assert outcome.resumed == 0  # it really ran, not merged
+
+
+def test_parallel_completions_append_whole_lines(tmp_path):
+    """Driver threads of a parallel sweep record into one journal: it
+    keeps one header and one whole line per point."""
+    specs = [SweepSpec(workers.double, (x,)) for x in range(40)]
+    journal = open_journal(tmp_path)
+    outcome = run_sweep_outcome(specs, jobs=2, journal=journal)
+    journal.close()
+    assert outcome.results == [2 * x for x in range(40)]
+    with open(journal.path, encoding="utf-8") as handle:
+        kinds = [json.loads(line)["kind"] for line in handle]
+    assert kinds.count("header") == 1
+    assert kinds.count("point") == 40
+    assert len(open_journal(tmp_path).completed()) == 40
+
+
+def test_concurrent_appends_keep_one_leading_header(tmp_path, monkeypatch):
+    """The same, made deterministic: a slow header write must not let
+    another thread's first record in ahead of it or beside it."""
+    import repro.perf.journal as journal_module
+
+    fingerprint = journal_module.model_constants_fingerprint
+
+    def slow_fingerprint():
+        time.sleep(0.05)
+        return fingerprint()
+
+    monkeypatch.setattr(
+        journal_module, "model_constants_fingerprint", slow_fingerprint
+    )
+    journal = open_journal(tmp_path)
+    threads = [
+        threading.Thread(target=journal.record_point, args=(f"k{i}", i))
+        for i in range(4)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    journal.close()
+    with open(journal.path, encoding="utf-8") as handle:
+        kinds = [json.loads(line)["kind"] for line in handle]
+    assert kinds == ["header"] + ["point"] * 4
 
 
 def test_kill_and_resume_end_to_end():

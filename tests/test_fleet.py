@@ -5,8 +5,11 @@ runs in tier 1; the kill -9 / wedge / corruption scenarios live in
 ``tests/chaos/test_chaos_fleet.py``.
 """
 
+import functools
 import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -170,6 +173,12 @@ class TestFleetConfig:
         assert FleetConfig().hedge_after_s is None
 
 
+def _sleep_job(seconds, remaining_s):
+    """A caller-supplied fleet job (module level: it crosses the pipe)."""
+    time.sleep(seconds)
+    return seconds
+
+
 def _fast_fleet(workers: int = 1, **kwargs) -> WorkerFleet:
     defaults = dict(
         workers=workers,
@@ -303,6 +312,79 @@ class TestWorkerFleet:
             assert health["counters"]["failover_exhausted"] == 1
         finally:
             fleet.shutdown()
+
+
+class TestCallerJobs:
+    """Jobs other than compile requests, and jobs nobody waits for."""
+
+    def test_default_job_is_looked_up_per_call(
+        self, fresh_cache, monkeypatch
+    ):
+        # A wrapper rebound over the module attribute (as a tracer does)
+        # is what must cross the pipe: pickle sends a function by name
+        # and rejects one that is not the object that name resolves to.
+        import repro.serve.fleet as fleet_module
+
+        original = fleet_module._run_one_request
+
+        @functools.wraps(original)
+        def wrapped(request, remaining_s):
+            return original(request, remaining_s)
+
+        monkeypatch.setattr(fleet_module, "_run_one_request", wrapped)
+        fleet = _fast_fleet(workers=1)
+        try:
+            value, _ = fleet.run(
+                CompileRequest(graph=build_diamond(), cluster=paper_testbed()),
+                None,
+            )
+        finally:
+            fleet.shutdown()
+        assert value.floorplan_tier == "full"
+
+    def test_abandoned_job_kills_and_replaces_its_worker(self, fresh_cache):
+        fleet = _fast_fleet(workers=1)
+        try:
+            first = fleet.health()["processes"][0]
+            start = time.monotonic()
+            with pytest.raises(DeadlineExceededError):
+                fleet.run(60.0, None, _sleep_job, timeout_s=0.3)
+            # The slot is free at once, not after the 60 s job.
+            value, _ = fleet.run(0.0, None, _sleep_job, timeout_s=10.0)
+            assert value == 0.0
+            assert time.monotonic() - start < 5.0
+            worker = fleet.health()["processes"][0]
+            assert worker["pid"] != first["pid"]
+            assert worker["generation"] == first["generation"] + 1
+            assert worker["crashes"] == 0, "a kill for nobody is no crash"
+            assert fleet.counters["abandoned_kills"] == 1
+            assert fleet.counters["worker_crashes"] == 0
+        finally:
+            fleet.shutdown()
+
+    def test_shutdown_kills_a_busy_worker_without_waiting(self, fresh_cache):
+        fleet = _fast_fleet(workers=1)
+        errors: list[BaseException] = []
+
+        def wait_for_job():
+            try:
+                fleet.run(60.0, None, _sleep_job)
+            except DrainingError as exc:
+                errors.append(exc)
+
+        waiter = threading.Thread(target=wait_for_job)
+        waiter.start()
+        limit = time.monotonic() + 10.0
+        while fleet.health()["processes"][0]["state"] != "busy":
+            assert time.monotonic() < limit
+            time.sleep(0.02)
+        start = time.monotonic()
+        assert fleet.shutdown() is True
+        assert time.monotonic() - start < 2.0
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert errors, "the waiter must be told the job will not finish"
+        assert not multiprocessing.active_children()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

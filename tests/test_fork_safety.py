@@ -1,8 +1,9 @@
 """Fork safety of the process-wide singletons (service + cache).
 
-The sweep pool and the serve fleet both fork this process; each
-singleton registers an ``os.register_at_fork`` hook so the child starts
-from a coherent state instead of inheriting half a parent: the service
+The worker fleet forks this process, for serving and for parallel
+sweeps alike; each singleton registers an ``os.register_at_fork`` hook
+so the child starts from a coherent state instead of inheriting half a
+parent: the service
 is dropped wholesale (its worker threads do not survive a fork), and
 the cache is rebuilt carrying the parent's *configuration* but none of
 its mutable state (memory tier, stats).

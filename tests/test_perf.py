@@ -7,6 +7,9 @@ model-constant invalidation, and serial/parallel sweep parity.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.cluster import make_cluster, paper_testbed
@@ -301,6 +304,24 @@ class TestSweep:
 
     def test_empty_sweep(self, cache):
         assert run_sweep([], jobs=4) == []
+
+    def test_parallel_workers_report_cache_stats(self, cache):
+        before = cache.stats.misses
+        run_sweep([SweepSpec(fn=_sweep_probe, args=(i,)) for i in (5, 6)], jobs=2)
+        assert cache.stats.misses > before
+
+    def test_loading_perf_leaves_serve_unloaded(self):
+        # The parallel path imports the fleet lazily: repro.serve.fleet
+        # imports repro.perf.supervise.
+        code = (
+            "import sys, repro.perf; print(sorted("
+            "m for m in sys.modules if m.startswith('repro.serve')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestCliIntegration:

@@ -217,6 +217,24 @@ class TestJournalLifecycle:
         assert state is not None and state["quotas"] == {"a": 3}
         reopened.close()
 
+    def test_first_checkpoint_on_a_freshly_booted_host(
+        self, tmp_path, monkeypatch
+    ):
+        # Monotonic time counts from boot: half a second of uptime is
+        # less than the interval, and the first checkpoint must still land.
+        import repro.serve.journal as journal_module
+
+        monkeypatch.setattr(journal_module.time, "monotonic", lambda: 0.5)
+        journal = ServeJournal(
+            str(tmp_path), ttl_s=3600, checkpoint_interval_s=1.0
+        )
+        assert journal.checkpoint({"quotas": {"a": 1}})
+        assert not journal.checkpoint({"quotas": {"a": 2}})
+        journal.close()
+        reopened = ServeJournal(str(tmp_path), ttl_s=3600)
+        assert reopened.restore_state()["quotas"] == {"a": 1}
+        reopened.close()
+
     def test_boot_compaction_bounds_the_file(self, tmp_path):
         import os
 
