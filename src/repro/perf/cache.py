@@ -478,7 +478,10 @@ def stats_report() -> str:
 # ---------------------------------------------------------------------------
 
 
-def cached_compile(graph, cluster, config=None, flow: str = "tapa-cs", faults=None):
+def cached_compile(
+    graph, cluster, config=None, flow: str = "tapa-cs", faults=None,
+    *, _fingerprint: str | None = None,
+):
     """``compile_design`` through the content-addressed cache.
 
     On a hit the stored :class:`~repro.core.plan.CompiledDesign` is
@@ -486,6 +489,11 @@ def cached_compile(graph, cluster, config=None, flow: str = "tapa-cs", faults=No
     compiler runs and the artifact is stored together with its wall time.
     A fault scenario joins the cache key (healthy scenarios normalize to
     the no-scenario key, since the compiler output is identical).
+
+    ``_fingerprint`` is private to the serving broker
+    (:func:`repro.serve.broker.run_request`): the key it computed for
+    these very arguments at admission, so a served request is
+    fingerprinted once.
     """
     from ..core.compiler import CompilerConfig, compile_design
 
@@ -493,7 +501,9 @@ def cached_compile(graph, cluster, config=None, flow: str = "tapa-cs", faults=No
     cache = get_cache()
     if not cache.enabled:
         return compile_design(graph, cluster, config, flow=flow, faults=faults)
-    fingerprint = fingerprint_compile(graph, cluster, config, flow, faults=faults)
+    fingerprint = _fingerprint or fingerprint_compile(
+        graph, cluster, config, flow, faults=faults
+    )
     hit = cache.get(fingerprint)
     if hit is not None:
         return hit

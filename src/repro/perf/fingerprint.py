@@ -46,14 +46,16 @@ def to_jsonable(obj: Any) -> Any:
 
     Handles dataclasses (including frozen/slots ones), enums, mappings,
     sequences, and sets.  Floats keep full ``repr`` precision so that two
-    configs differing in the last ulp hash differently.  Unknown object
+    configs differing in the last ulp hash differently; a float subclass
+    (``np.float64``) is written as the plain float of the same value, so
+    a value hashes the same after a JSON round trip.  Unknown object
     types raise ``TypeError`` — silent fallbacks (like ``repr`` with a
     memory address) would poison keys with false misses.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return repr(obj)
+        return repr(float(obj))
     if isinstance(obj, Enum):
         return {"__enum__": type(obj).__name__, "value": to_jsonable(obj.value)}
     if isinstance(obj, Topology):

@@ -202,24 +202,51 @@ class CompileRequest:
     idempotency_key: str | None = None
 
 
-def run_request(request: CompileRequest, deadline: Deadline | None) -> Any:
+@dataclass(slots=True)
+class _Fingerprinted:
+    """A request plus the compile fingerprint its broker computed for it.
+
+    Only :meth:`CompileService._run` builds one, from the key it computed
+    itself at admission — never from a request field or a journal record
+    — so the thread or fleet worker running the request does not compute
+    the same key again.
+    """
+
+    request: CompileRequest
+    fingerprint: str
+
+
+def run_request(
+    request: CompileRequest | _Fingerprinted, deadline: Deadline | None
+) -> Any:
     """Compile one request, then simulate it if it asks for that.
 
     The one request body: broker threads call it in-process, fleet
     workers through :func:`repro.serve.fleet._run_one_request`.  Returns
-    the design, or ``(design, result)`` for a ``simulate`` request.
+    the design, or ``(design, result)`` for a ``simulate`` request.  A
+    request the broker sends with its fingerprint is looked up in the
+    cache under that key.
     """
     from ..core.compiler import CompilerConfig, compile_design
     from ..perf.cache import cached_compile, cached_simulate
     from ..sim.execution import SimulationConfig, simulate
 
+    fingerprint = None
+    if isinstance(request, _Fingerprinted):
+        request, fingerprint = request.request, request.fingerprint
     config = request.config or CompilerConfig()
     with deadline_scope(deadline):
-        compile_fn = cached_compile if request.use_cache else compile_design
-        design = compile_fn(
-            request.graph, request.cluster, config,
-            flow=request.flow, faults=request.faults,
-        )
+        if request.use_cache:
+            design = cached_compile(
+                request.graph, request.cluster, config,
+                flow=request.flow, faults=request.faults,
+                _fingerprint=fingerprint,
+            )
+        else:
+            design = compile_design(
+                request.graph, request.cluster, config,
+                flow=request.flow, faults=request.faults,
+            )
         if request.kind != "simulate":
             return design
         sim_config = request.sim_config or SimulationConfig()
@@ -228,7 +255,7 @@ def run_request(request: CompileRequest, deadline: Deadline | None) -> Any:
 
 
 def _run_in_thread(
-    request: CompileRequest, deadline: Deadline | None
+    request: CompileRequest | _Fingerprinted, deadline: Deadline | None
 ) -> tuple[Any, list[dict]]:
     """:func:`run_request` on this thread, with the fleet's contract.
 
@@ -257,8 +284,8 @@ class _Pending:
 
     __slots__ = (
         "request", "deadline", "event", "value", "error", "submitted_at",
-        "coalesce_key", "followers", "journal_id", "idem_key",
-        "idem_client", "follower_tenants",
+        "fingerprint", "coalesce_key", "followers", "journal_id",
+        "idem_key", "idem_client", "follower_tenants",
     )
 
     def __init__(self, request: CompileRequest, deadline: Deadline | None):
@@ -268,6 +295,10 @@ class _Pending:
         self.value: Any = None
         self.error: BaseException | None = None
         self.submitted_at = time.monotonic()
+        #: The compile fingerprint computed at admission (None: not
+        #: cacheable, or a replayed request whose key this process has
+        #: not computed).
+        self.fingerprint: str | None = None
         #: Single-flight table key while this request is in flight
         #: (None: not coalescible).
         self.coalesce_key: str | None = None
@@ -411,6 +442,9 @@ class CompileService:
             with self._work:
                 self._admitted[cls] += 1
                 self._ensure_workers()
+                # No fingerprint from the record: the predecessor computed
+                # it under its own model constants, so the cache computes
+                # this process's key for the replayed request.
                 pending = _Pending(request, deadline)
                 pending.journal_id = entry.id
                 pending.idem_key = entry.idem
@@ -451,19 +485,21 @@ class CompileService:
     def _journal_finish(self, pending: _Pending) -> None:
         """Close one journaled entry as done/failed (outside the lock).
 
-        Runs *before* the completion event wakes the waiters: once a
-        client has seen the result, a resubmission of its idempotency
-        key must already find the dedup record.
+        Runs *before* the completion event wakes the waiters and before
+        the client key leaves the in-flight table: once a client has
+        seen the result, a resubmission of its idempotency key must
+        already find the dedup record.
         """
         journal = self.journal
         if journal is None or pending.journal_id is None:
             return
         try:
             if pending.error is None:
+                # Only a client key can look the result up again.
                 journal.record_done(
                     pending.journal_id,
                     pending.value,
-                    idem=pending.idem_key,
+                    idem=pending.idem_key if pending.idem_client else None,
                     fp=pending.coalesce_key,
                 )
             else:
@@ -558,35 +594,39 @@ class CompileService:
                 self._observe_pressure()
             time.sleep(period)
 
-    def _coalesce_key(self, request: CompileRequest) -> str | None:
-        """The single-flight identity of a request, or None.
+    def _fingerprint(
+        self, request: CompileRequest
+    ) -> tuple[str | None, str | None]:
+        """``(compile fingerprint, single-flight key)`` of a request.
 
-        Keyed on the same content fingerprint as the artifact cache, so
-        "identical" means *provably identical output*.  Uncacheable
-        requests (``use_cache=False`` is an explicit ask to recompute)
-        and unfingerprintable graphs never coalesce.
+        The fingerprint is the artifact cache's key for the compile, and
+        the single-flight key is built on it, so "identical" means
+        *provably identical output*.  Uncacheable requests
+        (``use_cache=False`` is an explicit ask to recompute) and
+        unfingerprintable graphs get neither and never coalesce.
         """
         if not request.use_cache:
-            return None
+            return None, None
         from ..core.compiler import CompilerConfig
         from ..perf.fingerprint import canonical_json, fingerprint_compile, to_jsonable
 
         try:
-            base = fingerprint_compile(
+            fingerprint = fingerprint_compile(
                 request.graph,
                 request.cluster,
                 request.config or CompilerConfig(),
                 request.flow,
                 faults=request.faults,
             )
+            base = fingerprint
             if request.kind == "simulate":
                 import hashlib
 
                 sim = canonical_json(to_jsonable(request.sim_config))
                 base += ":" + hashlib.sha256(sim.encode()).hexdigest()[:16]
         except Exception:
-            return None
-        return f"{request.kind}:{base}"
+            return None, None
+        return fingerprint, f"{request.kind}:{base}"
 
     @staticmethod
     def _may_coalesce(leader: _Pending, request: CompileRequest) -> bool:
@@ -607,6 +647,10 @@ class CompileService:
     def submit(self, request: CompileRequest) -> _Pending:
         """Admit a request (or shed it) and hand back a waitable handle.
 
+        With the journal on, the handle is returned only after the
+        request's accept record is fsync'd: acceptance is acknowledged
+        once it would survive a power loss.
+
         K identical concurrent requests coalesce into a single flight:
         one compile runs, and every duplicate submit returns the same
         handle (bypassing queue-depth and class-limit admission — a
@@ -623,10 +667,24 @@ class CompileService:
             DrainingError: when the service is draining (SIGTERM);
                 admitted work finishes but nothing new is accepted.
         """
+        return self._submit(request, sync_accept=True)
+
+    def execute(self, request: CompileRequest) -> Any:
+        """Submit and wait: the synchronous front-end entry point.
+
+        The accept record is written but not fsync'd: this caller hears
+        nothing before the result, so there is no acknowledgement to make
+        durable.  A ``kill -9`` loses nothing (the record is in the OS
+        already), and a client-keyed request's fsync'd done record makes
+        the accept before it durable too.
+        """
+        return self._submit(request, sync_accept=False).result()
+
+    def _submit(self, request: CompileRequest, sync_accept: bool) -> _Pending:
         cls = request.priority
         tenant = request.tenant or DEFAULT_TENANT
         # Fingerprinting is CPU work: do it outside the lock.
-        key = self._coalesce_key(request)
+        fingerprint, key = self._fingerprint(request)
         client_key = request.idempotency_key or None
         deadline = (
             Deadline.after(request.deadline_s)
@@ -635,7 +693,7 @@ class CompileService:
         )
         try:
             pending, queued = self._admit(
-                request, cls, tenant, key, client_key, deadline
+                request, cls, tenant, fingerprint, key, client_key, deadline
             )
         except (QuotaExceededError, OverloadedError):
             # A shed is a containment decision worth surviving a crash:
@@ -644,7 +702,9 @@ class CompileService:
             self._journal_checkpoint()
             raise
         if queued:
-            self._journal_accept(pending, request, key, client_key, cls)
+            self._journal_accept(
+                pending, request, key, client_key, cls, sync_accept
+            )
         return pending
 
     def _admit(
@@ -652,6 +712,7 @@ class CompileService:
         request: CompileRequest,
         cls: str,
         tenant: str,
+        fingerprint: str | None,
         key: str | None,
         client_key: str | None,
         deadline: Deadline | None,
@@ -718,6 +779,7 @@ class CompileService:
             self._admitted[cls] += 1
             self._ensure_workers()
             pending = _Pending(request, deadline)
+            pending.fingerprint = fingerprint
             if key is not None:
                 pending.coalesce_key = key
                 self._singleflight[key] = pending
@@ -727,7 +789,7 @@ class CompileService:
                 self._idem_inflight[client_key] = pending
             if self.journal is not None:
                 # The id is minted under the lock so the worker always
-                # sees it; the fsync'd append happens after release.
+                # sees it; the append happens after release.
                 pending.journal_id = self.journal.new_entry_id()
             self._queue.push(
                 pending, cls, tenant, weight=self.quotas.weight_for(tenant)
@@ -786,15 +848,17 @@ class CompileService:
         key: str | None,
         client_key: str | None,
         cls: str,
+        sync: bool,
     ) -> None:
-        """Make one queued request durable (outside the lock).
+        """Journal one queued request (outside the lock).
 
-        The fsync happens here, *before* submit returns — acceptance is
-        only acknowledged once it would survive a crash.  A request that
-        will not pickle (synthetic test graphs, say) simply stays
-        non-durable; a journal write failure (disk full) is remembered
-        and surfaced in health, but the already-queued request still
-        runs — availability over durability.
+        The append happens here, *before* submit returns, and is fsync'd
+        when ``sync`` is set — :meth:`submit` acknowledges acceptance
+        only once it would survive a crash.  A request that will not
+        pickle (synthetic test graphs, say) simply stays non-durable; a
+        journal write failure (disk full) is remembered and surfaced in
+        health, but the already-queued request still runs — availability
+        over durability.
         """
         journal = self.journal
         if journal is None or pending.journal_id is None:
@@ -809,6 +873,7 @@ class CompileService:
                 tenant=request.tenant or DEFAULT_TENANT,
                 cls=cls,
                 deadline_s=request.deadline_s,
+                sync=sync,
             )
         except JournalError as exc:
             self._note_journal_error(exc)
@@ -816,10 +881,6 @@ class CompileService:
         if not durable:
             pending.journal_id = None
         self._journal_checkpoint()
-
-    def execute(self, request: CompileRequest) -> Any:
-        """Submit and wait: the synchronous front-end entry point."""
-        return self.submit(request).result()
 
     # -- workers ---------------------------------------------------------------
 
@@ -903,8 +964,6 @@ class CompileService:
                         # is cached now) instead of attaching to a
                         # completed handle.
                         self._singleflight.pop(pending.coalesce_key, None)
-                    if pending.idem_client and pending.idem_key is not None:
-                        self._idem_inflight.pop(pending.idem_key, None)
                     if (
                         isinstance(pending.error, WorkerCrashError)
                         and pending.follower_tenants
@@ -920,6 +979,13 @@ class CompileService:
                             self.quotas.refund(follower_tenant)
                         self.counters["follower_refunds"] += len(refunds)
                 self._journal_finish(pending)
+                if pending.idem_client and pending.idem_key is not None:
+                    # A client key is retired only once its done record
+                    # is written: until then a retry joins this flight,
+                    # from then on it dedups against the journal — never
+                    # a second run in between.
+                    with self._lock:
+                        self._idem_inflight.pop(pending.idem_key, None)
                 pending.event.set()
 
     def _run(self, pending: _Pending) -> Any:
@@ -943,6 +1009,7 @@ class CompileService:
         ilp_breaker = self.breakers["ilp"]
         ilp_allowed = ilp_breaker.allow()
         config = request.config or CompilerConfig()
+        admitted_ladder_start = config.ladder_start
         if not ilp_allowed and config.ladder_start != "greedy":
             config = replace(config, ladder_start="greedy")
             with self._lock:
@@ -962,6 +1029,15 @@ class CompileService:
             # The breaker-forced greedy tier (or a defaulted config)
             # travels with the request, across the fleet pipe too.
             request = replace(request, config=config)
+        job: CompileRequest | _Fingerprinted = request
+        if (
+            pending.fingerprint is not None
+            and config.ladder_start == admitted_ladder_start
+        ):
+            # The admission fingerprint still names this config; a
+            # changed ladder tier is a different artifact, whose key the
+            # cache computes itself.
+            job = _Fingerprinted(request, pending.fingerprint)
 
         # Either way the outcome — the value or the exception, plus the
         # floorplan-ladder evidence — feeds the same breaker logic, so a
@@ -969,9 +1045,9 @@ class CompileService:
         # breaker.
         try:
             if self.fleet is not None:
-                value, entries = self.fleet.run(request, deadline)
+                value, entries = self.fleet.run(job, deadline)
             else:
-                value, entries = _run_in_thread(request, deadline)
+                value, entries = _run_in_thread(job, deadline)
         except BaseException as exc:
             self._feed_ilp_breaker(
                 exc, getattr(exc, "ladder_entries", []), ilp_allowed

@@ -9,6 +9,11 @@ parent process.  It is the codebase's one process supervisor: the
 broker sends compile requests to it, and ``run_sweep``
 (:mod:`repro.perf.sweep`) runs its parallel sweep points on it.
 
+A job goes to an idle worker the moment it arrives, on the caller's
+thread; with every worker busy it queues, and the monitor hands it to
+the first worker whose answer it reads.  The monitor's periodic tick
+(``_POLL_S``) is for supervision only.
+
 Supervision contract:
 
 * **liveness** — every worker heartbeats over its pipe from a side
@@ -315,6 +320,8 @@ def _run_one_request(request: Any, remaining_s: float | None) -> Any:
 
     The request runs under the deadline that crossed the pipe, through
     the same body as a broker thread (:func:`~repro.serve.broker.run_request`).
+    The broker sends it together with the fingerprint it computed at
+    admission; a bare request works too, and computes its own.
     """
     from .broker import run_request
 
@@ -466,8 +473,11 @@ class _WorkerHandle:
 class WorkerFleet:
     """N supervised worker processes behind one dispatch queue."""
 
-    #: Monitor poll period — also the granularity of crash/liveness
-    #: detection and hedging decisions.
+    #: Monitor poll period: the granularity of crash/liveness detection,
+    #: respawns, rolling-restart recycles and hedging decisions.  Jobs do
+    #: not wait for it: :meth:`run` dispatches to an idle worker on
+    #: arrival, and the monitor hands a queued job to the worker that
+    #: just answered as soon as its result is read.
     _POLL_S = 0.05
 
     def __init__(self, config: FleetConfig | None = None):
@@ -848,6 +858,9 @@ class WorkerFleet:
             job = _FleetJob(next(self._job_ids), fn, request, deadline)
             self._jobs[job.id] = job
             self._queue.append(job)
+            # Dispatch on arrival: an idle worker takes the job now
+            # instead of on the monitor's next tick.
+            self._dispatch_queued()
         # The worker enforces the deadline *inside* the compile; this
         # outer wait only catches a fleet that cannot answer at all
         # (every worker crash-looping), with slack for detection.

@@ -1,4 +1,4 @@
-"""Durable serving: the fsync'd write-ahead request journal.
+"""Durable serving: the write-ahead request journal.
 
 The broker's admission state was memory-only: a ``kill -9`` of the
 serving process (or a deploy) silently discarded every admitted request,
@@ -7,26 +7,42 @@ same compile twice.  This module closes both gaps with the same
 record/replay discipline as :mod:`repro.perf.journal`:
 
 * every **admitted** :class:`~repro.serve.broker.CompileRequest` is
-  appended — flushed and fsync'd before the submit is acknowledged — as
-  an ``accepted`` record carrying the pickled request, its tenant,
-  admission class, deadline budget, and an **idempotency key** (client
-  supplied, or derived from the request's content fingerprint);
+  appended before the submit returns, as an ``accepted`` record
+  carrying the pickled request, its tenant, admission class, deadline
+  budget, and an **idempotency key** (client supplied, or derived from
+  the request's content fingerprint);
 * the entry then moves through its lifecycle with follow-up records:
   ``dispatched`` when a worker picks it up, then exactly one of
-  ``done`` (with the pickled result), ``failed`` (with the typed error
-  name), or ``shed`` (terminated without execution);
+  ``done``, ``failed`` (with the typed error name), or ``shed``
+  (terminated without execution);
 * on boot the broker **replays** the journal: entries with no terminal
   record are re-enqueued with their original tenant/class/deadline, so
   accepted work survives a crash of the serving process;
-* completed entries within ``REPRO_SERVE_IDEMPOTENCY_TTL_S`` feed a
-  **dedup table**: a duplicate idempotency key returns the original
-  result instead of recompiling (``failed`` entries deliberately do
-  *not* dedup — a retry after a failure deserves a fresh attempt);
+* a ``done`` record under a *client* idempotency key carries the
+  pickled result and feeds a **dedup table** for
+  ``REPRO_SERVE_IDEMPOTENCY_TTL_S``: a retry under that key returns the
+  original result instead of recompiling (``failed`` entries
+  deliberately do *not* dedup — a retry after a failure deserves a
+  fresh attempt).  A request without a client key has nothing to look
+  up: its ``done`` record only closes the entry, which then leaves
+  memory;
 * ``checkpoint`` records snapshot the quota buckets and the brownout
   ceiling (:meth:`QuotaRegistry.export_state` /
   :meth:`BrownoutController.export_state`), throttled to at most one
   per ``checkpoint_interval_s``, so a restart does not reset abuse
-  containment — a pre-crash abuser is still shed immediately.
+  containment — a pre-crash abuser is still shed immediately.  The
+  same throttle drops dedup entries past their TTL.
+
+Every record is flushed to the OS before its append returns, so a
+``kill -9`` of the broker loses nothing.  Only the records behind a
+promise are also fsync'd against power loss: the ``accepted`` record
+behind a handle :meth:`~repro.serve.broker.CompileService.submit`
+returns, a client-keyed ``done`` record (retries dedup against it; its
+fsync also covers the accept written before it), and ``failed``,
+``shed`` and ``checkpoint`` records.  ``dispatched`` recovers exactly
+like ``accepted``, the accept of a synchronous ``execute`` call
+acknowledges nothing before its response, and a keyless ``done`` only
+spares a replay, so those are not fsync'd.
 
 Format: JSON Lines under ``$REPRO_SERVE_JOURNAL_DIR`` (one file,
 ``serve-wal.jsonl``), guarded by an exclusive ``flock`` so two broker
@@ -163,9 +179,10 @@ class ServeJournal:
     """The broker's write-ahead log plus its in-memory replay/dedup view.
 
     Appends are serialized by an internal lock (the broker writes from
-    its submit path and from every worker thread) and each record is
-    flushed + fsync'd before the append returns — the WAL never
-    acknowledges what it could not survive.
+    its submit path and from every worker thread); each record is
+    flushed before the append returns and fsync'd when it backs a
+    promise (see the module docstring).  Memory holds the incomplete
+    entries and the client-keyed results still inside the dedup TTL.
     """
 
     def __init__(
@@ -282,6 +299,13 @@ class ServeJournal:
                     self._by_idem.pop(entry.idem, None)
             elif kind == "checkpoint":
                 self._checkpoint_state = record
+        # A closed entry without a stored result only guarded against
+        # its own accept record later in the file; it is read now.
+        for entry_id in [
+            entry.id for entry in self._entries.values()
+            if entry.status == "done" and entry.result_blob is None
+        ]:
+            del self._entries[entry_id]
         if schema_mismatch:
             # Never merge across schemas, never silently delete: set the
             # old WAL aside and start fresh.
@@ -346,6 +370,7 @@ class ServeJournal:
             self._by_idem.pop(entry.idem, None)
 
     def _prune_expired(self) -> None:
+        # Called with the lock held (or before any other thread exists).
         if self.ttl_s <= 0:
             return
         cutoff = self._clock() - self.ttl_s
@@ -421,21 +446,13 @@ class ServeJournal:
             self.counters["dedup_hits"] += 1
             return True, value, entry.fp
 
-    def fingerprint_of(self, idem: str) -> str | None:
-        """The content fingerprint recorded for an idempotency key."""
-        with self._lock:
-            entry_id = self._by_idem.get(idem)
-            if entry_id is None:
-                return None
-            entry = self._entries.get(entry_id)
-            return entry.fp if entry is not None else None
-
     # -- writing ---------------------------------------------------------------
 
     def new_entry_id(self) -> str:
         return f"{os.getpid()}-{next(self._ids)}-{os.urandom(4).hex()}"
 
-    def _append(self, record: dict) -> None:
+    def _append(self, record: dict, sync: bool = True) -> None:
+        """Write one record to the OS; with ``sync``, fsync it too."""
         start = time.monotonic()
         with self._lock:
             try:
@@ -448,7 +465,8 @@ class ServeJournal:
                 )
                 self._handle.write(line + "\n")
                 self._handle.flush()
-                os.fsync(self._handle.fileno())
+                if sync:
+                    os.fsync(self._handle.fileno())
             except OSError as exc:
                 self.counters["append_failures"] += 1
                 raise JournalError(
@@ -494,31 +512,43 @@ class ServeJournal:
         tenant: str,
         cls: str,
         deadline_s: float | None,
+        sync: bool = True,
     ) -> bool:
         """Journal one admitted request; False when it will not pickle
-        (the request simply stays non-durable, never an error)."""
+        (the request simply stays non-durable, never an error).
+
+        ``sync`` fsyncs the record: set it when the caller is about to
+        acknowledge the acceptance.
+        """
         encoded = _encode_blob(request)
-        if encoded is None:
-            return False
-        payload, digest = encoded
         now = self._clock()
-        self._append(
-            {
-                "kind": "accepted",
-                "id": entry_id,
-                "idem": idem,
-                "derived": derived,
-                "fp": fp,
-                "tenant": tenant,
-                "class": cls,
-                "deadline_s": deadline_s,
-                "payload": payload,
-                "sha256": digest,
-                "created_unix": now,
-            }
-        )
+        if encoded is not None:
+            payload, digest = encoded
+            self._append(
+                {
+                    "kind": "accepted",
+                    "id": entry_id,
+                    "idem": idem,
+                    "derived": derived,
+                    "fp": fp,
+                    "tenant": tenant,
+                    "class": cls,
+                    "deadline_s": deadline_s,
+                    "payload": payload,
+                    "sha256": digest,
+                    "created_unix": now,
+                },
+                sync=sync,
+            )
         with self._lock:
-            if entry_id not in self._entries:  # a racing done wins
+            early = self._entries.get(entry_id)
+            if early is not None:
+                # Its done record was appended first (a cache hit can
+                # beat the accept append): the terminal state wins.  A
+                # done without a stored result only waited for this.
+                if early.result_blob is None:
+                    del self._entries[entry_id]
+            elif encoded is not None:
                 entry = JournalEntry(entry_id)
                 entry.idem = idem
                 entry.derived = derived
@@ -530,10 +560,12 @@ class ServeJournal:
                 self._entries[entry_id] = entry
                 if idem is not None:
                     self._by_idem[idem] = entry_id
-        return True
+        return encoded is not None
 
     def record_dispatched(self, entry_id: str) -> None:
-        self._append({"kind": "dispatched", "id": entry_id})
+        # Not fsync'd: recovery treats a dispatched entry exactly like
+        # an accepted one, so losing this record loses nothing.
+        self._append({"kind": "dispatched", "id": entry_id}, sync=False)
         with self._lock:
             entry = self._entries.get(entry_id)
             if entry is not None and entry.status == "accepted":
@@ -546,38 +578,48 @@ class ServeJournal:
         idem: str | None = None,
         fp: str | None = None,
     ) -> bool:
-        """Close an entry as completed, storing the result for dedup.
+        """Close an entry as completed; True when the result was stored.
 
-        ``idem``/``fp`` let the caller supply the key and fingerprint
-        directly, covering the race where this done lands before the
+        ``idem`` is the entry's *client* idempotency key (by default the
+        key its accept record names, unless that key was derived).  Only
+        then can a retry look the result up, so only then is the result
+        pickled into the record and the record fsync'd.  Without one the
+        record just closes the entry, which leaves memory.  ``idem`` and
+        ``fp`` also cover the race where this done lands before the
         entry's own accept append.  An unpicklable result still closes
         the entry (no replay, no duplicate compile) — it just cannot
-        serve dedup hits; returns False in that case.
+        serve dedup hits.
         """
-        encoded = _encode_blob(value)
         now = self._clock()
         with self._lock:
             entry = self._entries.get(entry_id)
             if entry is not None:
-                idem = idem if idem is not None else entry.idem
+                if idem is None and not entry.derived:
+                    idem = entry.idem
                 fp = fp if fp is not None else entry.fp
-        record: dict = {
-            "kind": "done",
-            "id": entry_id,
-            "idem": idem,
-            "fp": fp,
-            "created_unix": entry.created_unix if entry else now,
-            "completed_unix": now,
-        }
-        if encoded is not None:
-            record["payload"], record["sha256"] = encoded
-        self._append(record)
+        record: dict = {"kind": "done", "id": entry_id, "completed_unix": now}
+        encoded = None
+        if idem is not None:
+            encoded = _encode_blob(value)
+            record.update(
+                idem=idem, fp=fp,
+                created_unix=entry.created_unix if entry else now,
+            )
+            if encoded is not None:
+                record["payload"], record["sha256"] = encoded
+        self._append(record, sync=idem is not None)
         with self._lock:
-            entry = self._entries.get(entry_id)
-            if entry is None:
+            entry = self._entries.pop(entry_id, None)
+            if entry is not None:
+                if self._by_idem.get(entry.idem) == entry_id:
+                    del self._by_idem[entry.idem]
+                if encoded is None:
+                    return False  # closed, with nothing to look up
+            else:
+                # The accept append is still to come: keep a closed
+                # marker for it to fold against.
                 entry = JournalEntry(entry_id)
                 entry.created_unix = now
-                self._entries[entry_id] = entry
             entry.idem = idem
             entry.fp = fp
             entry.status = "done"
@@ -585,11 +627,8 @@ class ServeJournal:
             entry.request_blob = None
             if encoded is not None:
                 entry.result_blob = base64.b64decode(encoded[0])
-            if idem is not None:
-                if encoded is not None:
-                    self._by_idem[idem] = entry_id
-                else:
-                    self._by_idem.pop(idem, None)
+                self._by_idem[idem] = entry_id
+            self._entries[entry_id] = entry
         return encoded is not None
 
     def record_failed(self, entry_id: str, error_type: str, error: str) -> None:
@@ -625,7 +664,11 @@ class ServeJournal:
 
     def checkpoint(self, state: dict, force: bool = False) -> bool:
         """Append a quota/brownout snapshot, throttled to one per
-        ``checkpoint_interval_s`` unless forced."""
+        ``checkpoint_interval_s`` unless forced.
+
+        Each one also drops the dedup entries past their TTL, so a
+        long-running broker does not hold every result it ever served.
+        """
         now = time.monotonic()
         with self._lock:
             if (
@@ -635,6 +678,7 @@ class ServeJournal:
             ):
                 return False
             self._last_checkpoint = now
+            self._prune_expired()
         record = {"kind": "checkpoint", "time_unix": self._clock()}
         record.update(state)
         try:

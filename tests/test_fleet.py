@@ -342,6 +342,24 @@ class TestCallerJobs:
             fleet.shutdown()
         assert value.floorplan_tier == "full"
 
+    def test_job_is_dispatched_on_arrival_not_on_a_tick(
+        self, fresh_cache, monkeypatch
+    ):
+        # The monitor ticks every 5 s and no heartbeat wakes it: a job
+        # that waited for the tick would take seconds.
+        monkeypatch.setattr(WorkerFleet, "_POLL_S", 5.0)
+        fleet = _fast_fleet(
+            workers=1, heartbeat_s=5.0, liveness_timeout_s=60.0
+        )
+        try:
+            time.sleep(0.5)  # the worker is up and its hello is read
+            start = time.monotonic()
+            value, _ = fleet.run(0.0, None, _sleep_job, timeout_s=30.0)
+            assert value == 0.0
+            assert time.monotonic() - start < 1.0
+        finally:
+            fleet.shutdown()
+
     def test_abandoned_job_kills_and_replaces_its_worker(self, fresh_cache):
         fleet = _fast_fleet(workers=1)
         try:

@@ -171,6 +171,20 @@ class TestFingerprint:
             a, cluster, CompilerConfig(), "tapa"
         ) != fingerprint_compile(b, cluster, CompilerConfig(), "tapa")
 
+    @pytest.mark.parametrize("app", ["stencil", "knn", "pagerank", "cnn"])
+    def test_json_round_trip_keeps_the_compile_key(self, cache, app):
+        # A graph sent as JSON must hit the entry of the same graph built
+        # in-process (KNN's work estimates are numpy floats).
+        from repro.graph import serialize
+        from repro.serve.server import build_app_graph
+
+        graph = build_app_graph(app)
+        copy = serialize.loads(serialize.dumps(graph))
+        cluster = paper_testbed()
+        assert fingerprint_compile(
+            copy, cluster, CompilerConfig(), "tapa-cs"
+        ) == fingerprint_compile(graph, cluster, CompilerConfig(), "tapa-cs")
+
 
 def _strip_wall_clock(summary: dict) -> dict:
     return {k: v for k, v in summary.items() if k != "floorplan_seconds"}

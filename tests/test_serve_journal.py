@@ -16,8 +16,11 @@ Three layers under test:
   immediately.
 """
 
+import collections
 import json
+import os
 import threading
+import time
 
 import pytest
 
@@ -118,6 +121,23 @@ class TestJournalLifecycle:
         reopened = ServeJournal(str(tmp_path), ttl_s=3600)
         assert not reopened.lookup("key-3")[0]
         assert reopened.take_incomplete() == []  # failed is terminal
+        reopened.close()
+
+    def test_keyless_done_before_its_accept_closes_the_entry(self, tmp_path):
+        """A cache hit can finish before its accept append: the done wins,
+        in memory and on replay, and nothing stays behind."""
+        journal = ServeJournal(str(tmp_path), ttl_s=3600)
+        entry_id = journal.new_entry_id()
+        assert not journal.record_done(entry_id, {"answer": 1})
+        journal.record_accepted(
+            entry_id, {"req": 1}, idem="compile:fp", derived=True,
+            fp="compile:fp", tenant="t", cls="batch", deadline_s=None,
+        )
+        assert journal.health()["live_entries"] == 0
+        journal.close()
+        reopened = ServeJournal(str(tmp_path), ttl_s=3600)
+        assert reopened.take_incomplete() == []
+        assert reopened.health()["live_entries"] == 0
         reopened.close()
 
     def test_shed_entries_are_terminal(self, tmp_path):
@@ -366,6 +386,35 @@ class TestBrokerIdempotency:
         finally:
             service.shutdown(wait=False)
 
+    def test_retry_while_the_done_record_is_written_joins_the_flight(
+        self, tmp_path, fresh_cache, monkeypatch
+    ):
+        """A client key leaves the in-flight table only once its done
+        record is written: a retry in between joins, never re-runs."""
+        entered = threading.Event()
+        release = threading.Event()
+        real = ServeJournal.record_done
+
+        def held_record_done(self, *args, **kwargs):
+            entered.set()
+            release.wait(timeout=30.0)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServeJournal, "record_done", held_record_done)
+        service = _service(tmp_path / "journal")
+        try:
+            first = service.submit(_request(idempotency_key="job-12"))
+            assert entered.wait(timeout=30.0)
+            retry = service.submit(_request(idempotency_key="job-12"))
+            release.set()
+            assert retry.result(timeout=30.0) is first.result(timeout=30.0)
+            assert service.counters["completed"] == 1
+            assert service.counters["idem_joined"] == 1
+            assert service.counters["dedup_hits"] == 0
+        finally:
+            release.set()
+            service.shutdown(wait=False)
+
     def test_acknowledged_submit_is_on_disk_before_return(
         self, tmp_path, fresh_cache
     ):
@@ -387,6 +436,118 @@ class TestBrokerIdempotency:
             assert value is not None
             doc = service.health()["journal"]
             assert doc["enabled"] is False
+        finally:
+            service.shutdown(wait=False)
+
+
+# ---------------------------------------------------------------------------
+# What the journal pays for: fsync only behind a promise
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Record kind -> how many fsyncs its appends made."""
+    counts: collections.Counter = collections.Counter()
+    current = threading.local()
+    real_fsync = os.fsync
+    real_append = ServeJournal._append
+
+    def counting_fsync(fd):
+        kind = getattr(current, "kind", None)
+        if kind is not None:
+            counts[kind] += 1
+        return real_fsync(fd)
+
+    def tagged_append(self, record, *args, **kwargs):
+        current.kind = record["kind"]
+        try:
+            return real_append(self, record, *args, **kwargs)
+        finally:
+            current.kind = None
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    monkeypatch.setattr(ServeJournal, "_append", tagged_append)
+    return counts
+
+
+def _wal_records(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+class TestJournalCost:
+    def test_submit_returns_after_its_accept_is_fsynced(
+        self, tmp_path, fresh_cache, fsyncs
+    ):
+        service = _service(tmp_path / "journal")
+        try:
+            pending = service.submit(_request())
+            assert fsyncs["accepted"] == 1
+            pending.result(timeout=30.0)
+            assert fsyncs["dispatched"] == 0
+        finally:
+            service.shutdown(wait=False)
+
+    def test_keyed_execute_fsyncs_its_done_record(
+        self, tmp_path, fresh_cache, fsyncs
+    ):
+        service = _service(tmp_path / "journal")
+        try:
+            service.execute(_request(idempotency_key="job-13"))
+            # The done record's fsync also covers the accept before it.
+            assert fsyncs["done"] == 1
+            assert fsyncs["accepted"] == 0
+            assert fsyncs["dispatched"] == 0
+        finally:
+            service.shutdown(wait=False)
+
+    def test_keyless_execute_reaches_the_os_without_a_result(
+        self, tmp_path, fresh_cache, fsyncs
+    ):
+        service = _service(tmp_path / "journal")
+        try:
+            service.execute(_request())
+            # Read before shutdown closes (and flushes) the file.
+            records = _wal_records(service.journal.path)
+        finally:
+            service.shutdown(wait=False)
+        kinds = [r["kind"] for r in records if r["kind"] != "checkpoint"]
+        assert kinds == ["header", "accepted", "dispatched", "done"]
+        [done] = [r for r in records if r["kind"] == "done"]
+        assert "payload" not in done
+        assert fsyncs["accepted"] == fsyncs["done"] == 0
+        reopened = ServeJournal(str(tmp_path / "journal"), ttl_s=3600)
+        try:
+            assert reopened.take_incomplete() == []
+            assert reopened.health()["live_entries"] == 0
+        finally:
+            reopened.close()
+
+    def test_keyless_entries_leave_memory_once_done(
+        self, tmp_path, fresh_cache
+    ):
+        service = _service(tmp_path / "journal")
+        try:
+            for length in (2, 3, 4, 2, 3, 4):
+                service.execute(_request(graph=build_chain(length=length)))
+            health = service.journal.health()
+            assert health["live_entries"] == 0
+            assert health["dedup_entries"] == 0
+        finally:
+            service.shutdown(wait=False)
+
+    def test_expired_dedup_entries_leave_memory_while_serving(
+        self, tmp_path, fresh_cache
+    ):
+        service = _service(tmp_path / "journal", idempotency_ttl_s=0.05)
+        try:
+            for index in range(4):
+                service.execute(_request(idempotency_key=f"ttl-{index}"))
+            # Past the TTL and the one-per-second checkpoint throttle.
+            time.sleep(1.2)
+            service.execute(_request(idempotency_key="ttl-last"))
+            assert service.health()["journal"]["dedup_entries"] == 1
         finally:
             service.shutdown(wait=False)
 

@@ -319,3 +319,78 @@ class TestFollowerRefundOnLeaderCrash:
         finally:
             release.set()
             service.shutdown(wait=False)
+
+
+class TestFingerprintOnce:
+    """A served request is fingerprinted once, at admission: the broker
+    hands its key to the worker that runs the request."""
+
+    @staticmethod
+    def _count_fingerprints(monkeypatch, path) -> None:
+        import repro.perf.cache as cache_module
+        import repro.perf.fingerprint as fingerprint_module
+
+        real = fingerprint_module.fingerprint_compile
+
+        def counting(*args, **kwargs):
+            # A file, so calls in forked fleet workers count too.
+            with open(path, "a") as handle:
+                handle.write("call\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fingerprint_module, "fingerprint_compile", counting)
+        monkeypatch.setattr(cache_module, "fingerprint_compile", counting)
+
+    @pytest.mark.parametrize("fleet_workers", [0, 1], ids=["threads", "fleet"])
+    def test_cache_hit_fingerprints_once(
+        self, fresh_cache, monkeypatch, tmp_path, fleet_workers
+    ):
+        calls = tmp_path / "fingerprint-calls"
+        self._count_fingerprints(monkeypatch, calls)
+        service = CompileService(
+            ServiceConfig(workers=1, fleet_workers=fleet_workers)
+        )
+        try:
+            service.execute(_request())  # the miss that fills the cache
+            calls.write_text("")
+            hits = service.health()["cache"]["hits"]
+            assert service.execute(_request()) is not None
+            assert service.health()["cache"]["hits"] == hits + 1
+            assert calls.read_text().count("call") == 1
+        finally:
+            service.shutdown(wait=False)
+
+    def test_breaker_forced_greedy_looks_up_its_own_key(
+        self, fresh_cache, monkeypatch
+    ):
+        from dataclasses import replace
+
+        import repro.perf.cache as cache_module
+        from repro.core.compiler import CompilerConfig
+        from repro.perf.fingerprint import fingerprint_compile
+
+        looked_up = []
+        real_get = cache_module.DesignCache.get
+
+        def recording_get(self, fingerprint):
+            looked_up.append(fingerprint)
+            return real_get(self, fingerprint)
+
+        monkeypatch.setattr(cache_module.DesignCache, "get", recording_get)
+        service = CompileService(ServiceConfig(workers=1))
+        try:
+            for _ in range(service.config.breaker.failure_threshold):
+                service.breakers["ilp"].record_failure()
+            design = service.execute(_request())
+            assert service.counters["breaker_forced_greedy"] == 1
+        finally:
+            service.shutdown(wait=False)
+        greedy = replace(CompilerConfig(), ladder_start="greedy")
+        key = fingerprint_compile(
+            build_diamond(), paper_testbed(), greedy, "tapa-cs"
+        )
+        assert key != fingerprint_compile(
+            build_diamond(), paper_testbed(), CompilerConfig(), "tapa-cs"
+        )
+        assert looked_up == [key]
+        assert design.floorplan_tier == "greedy"
