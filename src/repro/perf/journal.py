@@ -27,24 +27,35 @@ Format: JSON Lines (one record per line) under
   run that finished; its absence marks a partial (killed) run.
 
 Reading is maximally tolerant: a truncated final line (the crash case),
-a corrupt middle line, or a payload whose checksum does not match are
-all skipped, never raised.  Writing failures *are* raised
-(:class:`~repro.errors.JournalError`) — silently losing journal records
-would break the resume contract.
+a corrupt middle line, a record with a field of the wrong type, or a
+payload whose checksum does not match are all skipped, never raised;
+a journal that does not start with a readable header is never merged.
+Writing failures *are* raised (:class:`~repro.errors.JournalError`) —
+silently losing journal records would break the resume contract.
+
+The log mechanics are shared with the serve WAL
+(:mod:`repro.serve.journal`): :func:`read_records` streams a log
+tolerantly, :func:`encode_blob`, :func:`decode_blob` and
+:func:`load_blob` store a value as a checksummed pickle,
+:func:`encode_line` writes a record as one line, and :class:`AppendLog`
+appends one flushed (or fsync'd) line at a time and rewrites the file
+atomically while appends go on.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
 import pickle
 import re
+import shutil
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import JournalError
 from .fingerprint import model_constants_fingerprint, to_jsonable
@@ -55,6 +66,182 @@ JOURNAL_SCHEMA_VERSION = 1
 
 _RUN_SUFFIX = ".jsonl"
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+_NUMBER = (int, float)
+#: The type of each run-journal field a fold reads.
+_FIELD_TYPES = {
+    "experiment": str,
+    "created_unix": _NUMBER,
+    "key": str,
+    "label": str,
+    "elapsed_s": _NUMBER,
+    "error": str,
+}
+
+
+# ---------------------------------------------------------------------------
+# The log primitive, shared with the serve WAL
+# ---------------------------------------------------------------------------
+
+
+def read_records(path: str, fields: dict | None = None) -> Iterator[dict]:
+    """Stream the records of a JSON-Lines log, maximally tolerant.
+
+    A missing file reads as empty.  A line is skipped when it is torn
+    (the crash case), scribbled on or not a JSON object, and so is a
+    record with a ``fields`` entry (name -> type or tuple of types) of
+    another type: a record is applied whole or not at all.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError:
+        return
+    with handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict) and all(
+                isinstance(record[name], kinds)
+                for name, kinds in (fields or {}).items()
+                if name in record
+            ):
+                yield record
+
+
+def encode_blob(value: Any) -> dict | None:
+    """The ``payload`` and ``sha256`` record fields that store ``value``,
+    or None when it will not pickle.  The payload is the pickled bytes:
+    :func:`encode_line` writes them as base64 text."""
+    try:
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+    return {"payload": blob, "sha256": hashlib.sha256(blob).hexdigest()}
+
+
+def decode_blob(record: dict) -> bytes | None:
+    """The pickled bytes a loaded record's base64 payload stores, or None
+    when it stores none or they do not match their checksum: a torn or
+    corrupted payload reads as never written."""
+    payload = record.get("payload")
+    if not isinstance(payload, str):
+        return None
+    try:
+        blob = base64.b64decode(payload.encode("ascii"), validate=True)
+    except ValueError:
+        return None
+    if hashlib.sha256(blob).hexdigest() != record.get("sha256"):
+        return None
+    return blob
+
+
+def load_blob(blob: bytes | None) -> tuple[bool, Any]:
+    """``(True, value)`` for the value pickled in ``blob``, or
+    ``(False, None)`` when there is none or it will not unpickle."""
+    if blob is None:
+        return False, None
+    try:
+        return True, pickle.loads(blob)
+    except Exception:  # unpickling damaged bytes can raise anything
+        return False, None
+
+
+def encode_line(record: dict) -> bytes:
+    """One record as a JSON line, ``bytes`` values as base64 text."""
+    text = json.dumps(
+        record, sort_keys=True, separators=(",", ":"),
+        default=lambda blob: base64.b64encode(blob).decode("ascii"),
+    )
+    return (text + "\n").encode()
+
+
+class AppendLog:
+    """One JSON-Lines file, opened for appending on first use.
+
+    Not locked: each journal serializes its own calls.  The first open
+    terminates a torn final line, so the next record is not glued to
+    (and lost with) it, and starts an empty file with ``header()``.
+    """
+
+    def __init__(self, path: str, header: Callable[[], dict]):
+        self.path = path
+        self._header = header
+        self._handle = None
+
+    @property
+    def size(self) -> int:
+        """Bytes in the file (every append is flushed to the OS)."""
+        try:
+            return os.path.getsize(self.path)
+        except OSError:
+            return 0
+
+    def append(self, line: bytes, sync: bool = True) -> None:
+        """Write one :func:`encode_line` line and flush it to the OS;
+        ``sync`` also fsyncs it.  Raises OSError."""
+        if self._handle is None:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            self._handle = open(self.path, "ab+")
+            if not self._handle.seek(0, os.SEEK_END):
+                self._handle.write(encode_line(self._header()))
+            else:
+                self._handle.seek(-1, os.SEEK_END)
+                if self._handle.read(1) != b"\n":
+                    self._handle.write(b"\n")
+        self._handle.write(line)
+        self._handle.flush()
+        if sync:
+            os.fsync(self._handle.fileno())
+
+    def write_aside(self, records: Iterable[dict]) -> str:
+        """Write ``header()`` and ``records`` to a temp file beside the
+        log, fsync'd, and return its path for :meth:`replace`.  The log
+        is not touched, so another thread may append meanwhile.  Raises
+        OSError."""
+        temp_path = self.path + ".compact"
+        try:
+            with open(temp_path, "wb") as handle:
+                handle.write(encode_line(self._header()))
+                for record in records:
+                    handle.write(encode_line(record))
+                handle.flush()
+                os.fsync(handle.fileno())
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(temp_path)
+            raise
+        return temp_path
+
+    def replace(self, temp_path: str, since: int) -> None:
+        """Copy what the log gained past its first ``since`` bytes to the
+        end of ``temp_path``, then rename that over the log.
+
+        The copy is fsync'd before the rename, so a crash leaves either
+        the old file or the new one, whole.  Raises OSError, with the
+        old file untouched.
+        """
+        try:
+            with open(temp_path, "ab") as handle:
+                if self.size > since:
+                    with open(self.path, "rb") as old:
+                        old.seek(since)
+                        shutil.copyfileobj(old, handle)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            self.close()
+            os.replace(temp_path, self.path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(temp_path)
+            raise
+
+    def close(self) -> None:
+        if self._handle is not None:
+            try:
+                self._handle.close()
+            finally:
+                self._handle = None
 
 
 def default_runs_dir() -> str:
@@ -123,17 +310,19 @@ class RunJournal:
     def __init__(self, path: str, run_id: str, experiment: str = ""):
         self.path = path
         self.run_id = run_id
-        self.experiment = experiment
         self._completed: dict[str, tuple[Any, float]] = {}
         self._failed: dict[str, str] = {}
         self._labels: dict[str, str] = {}
-        self._complete = False
-        self._mergeable = True
-        self._handle = None
+        #: Header and end state, folded exactly as ``list_runs`` folds it.
+        self._summary = RunInfo(run_id, path, experiment)
         #: Parallel sweeps record from several threads: one header, and
         #: each record one whole line.
         self._lock = threading.Lock()
-        self._load()
+        self._log = AppendLog(path, self._header)
+        for index, record in enumerate(read_records(path, _FIELD_TYPES)):
+            _summarize(self._summary, record, first=not index)
+            self._fold(record)
+        self.experiment = self._summary.experiment
 
     # -- construction --------------------------------------------------------
 
@@ -152,62 +341,19 @@ class RunJournal:
 
     # -- reading -------------------------------------------------------------
 
-    def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # Truncated mid-write (the final line after a crash) or
-                # scribbled on: skip, never raise.
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            if kind == "header":
-                self.experiment = record.get("experiment", self.experiment)
-                if record.get("schema") != JOURNAL_SCHEMA_VERSION:
-                    self._mergeable = False
-                if record.get("model") != model_constants_fingerprint():
-                    # Results computed under different model constants
-                    # must not be merged into a current-model run.
-                    self._mergeable = False
-            elif kind == "point":
-                self._load_point(record)
-            elif kind == "end":
-                self._complete = record.get("status") == "complete"
-
-    def _load_point(self, record: dict) -> None:
+    def _fold(self, record: dict) -> None:
         key = record.get("key")
-        if not isinstance(key, str):
+        if record.get("kind") != "point" or not isinstance(key, str):
             return
         label = record.get("label", "")
         if record.get("status") == "failed":
-            self._failed[key] = str(record.get("error", "unknown failure"))
+            self._failed[key] = record.get("error", "unknown failure")
             self._labels[key] = label
             return
-        payload = record.get("payload")
-        digest = record.get("sha256")
-        if not isinstance(payload, str) or not isinstance(digest, str):
-            return
-        try:
-            blob = base64.b64decode(payload.encode("ascii"), validate=True)
-        except (ValueError, UnicodeEncodeError):
-            return
-        if hashlib.sha256(blob).hexdigest() != digest:
-            return  # torn or corrupted record: treat as never written
-        try:
-            value = pickle.loads(blob)
-        except Exception:
-            return
-        self._completed[key] = (value, float(record.get("elapsed_s", 0.0)))
+        stored, value = load_blob(decode_blob(record))
+        if not stored:
+            return  # torn or corrupted: treat as never written
+        self._completed[key] = (value, record.get("elapsed_s", 0.0))
         self._labels[key] = label
         self._failed.pop(key, None)
 
@@ -215,10 +361,10 @@ class RunJournal:
         """Results of every journaled-complete point, keyed by spec key.
 
         Empty when the journal is not mergeable (schema or model-constant
-        mismatch): resume then recomputes every point rather than mixing
-        artifacts from two model versions.
+        mismatch, or no readable header): resume then recomputes every
+        point rather than mixing artifacts from two model versions.
         """
-        if not self._mergeable:
+        if not self._summary.mergeable:
             return {}
         return {key: value for key, (value, _) in self._completed.items()}
 
@@ -228,69 +374,43 @@ class RunJournal:
 
     @property
     def mergeable(self) -> bool:
-        return self._mergeable
+        return self._summary.mergeable
 
     @property
     def complete(self) -> bool:
-        return self._complete
+        return self._summary.complete
 
     def label_for(self, key: str) -> str:
         return self._labels.get(key, "")
 
     # -- writing -------------------------------------------------------------
 
+    def _header(self) -> dict:
+        return {
+            "kind": "header",
+            "run_id": self.run_id,
+            "experiment": self.experiment,
+            "schema": JOURNAL_SCHEMA_VERSION,
+            "model": model_constants_fingerprint(),
+            "created_unix": time.time(),
+        }
+
     def _append(self, record: dict) -> None:
         with self._lock:
             try:
-                if self._handle is None:
-                    os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                    is_new = not os.path.exists(self.path)
-                    if not is_new:
-                        # A crash can leave a torn final line with no
-                        # newline; terminate it so the next record starts
-                        # on its own line instead of being glued to (and
-                        # lost with) it.
-                        with open(self.path, "rb") as existing:
-                            existing.seek(0, os.SEEK_END)
-                            if existing.tell() > 0:
-                                existing.seek(-1, os.SEEK_END)
-                                torn = existing.read(1) != b"\n"
-                            else:
-                                torn = False
-                    self._handle = open(self.path, "a", encoding="utf-8")
-                    if not is_new and torn:
-                        self._handle.write("\n")
-                    if is_new:
-                        self._append_raw(
-                            {
-                                "kind": "header",
-                                "run_id": self.run_id,
-                                "experiment": self.experiment,
-                                "schema": JOURNAL_SCHEMA_VERSION,
-                                "model": model_constants_fingerprint(),
-                                "created_unix": time.time(),
-                            }
-                        )
-                self._append_raw(record)
+                self._log.append(encode_line(record))
             except OSError as exc:
                 raise JournalError(
                     f"cannot append to run journal {self.path}: {exc}"
                 ) from exc
-
-    def _append_raw(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
 
     def record_point(
         self, key: str, value: Any, label: str = "", elapsed_s: float = 0.0
     ) -> bool:
         """Journal one completed point; returns False when the result is
         unpicklable (the point simply stays non-resumable)."""
-        try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
+        encoded = encode_blob(value)
+        if encoded is None:
             return False
         self._append(
             {
@@ -298,9 +418,8 @@ class RunJournal:
                 "key": key,
                 "label": label,
                 "status": "ok",
-                "payload": base64.b64encode(blob).decode("ascii"),
-                "sha256": hashlib.sha256(blob).hexdigest(),
                 "elapsed_s": elapsed_s,
+                **encoded,
             }
         )
         self._completed[key] = (value, elapsed_s)
@@ -325,15 +444,11 @@ class RunJournal:
     def record_end(self, status: str = "complete") -> None:
         """Mark the run finished (``repro perf runs`` shows it complete)."""
         self._append({"kind": "end", "status": status})
-        self._complete = status == "complete"
+        self._summary.complete = status == "complete"
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                finally:
-                    self._handle = None
+            self._log.close()
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -380,44 +495,37 @@ def list_runs(runs_dir: str | None = None) -> list[RunInfo]:
             continue
         path = os.path.join(directory, name)
         info = RunInfo(run_id=name[: -len(_RUN_SUFFIX)], path=path)
-        _scan_run(path, info)
+        for index, record in enumerate(read_records(path, _FIELD_TYPES)):
+            _summarize(info, record, first=not index)
         infos.append(info)
     infos.sort(key=lambda i: i.created_unix, reverse=True)
     return infos
 
 
-def _scan_run(path: str, info: RunInfo) -> None:
-    """Cheap single-pass scan of a journal file for listing purposes."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(record, dict):
-            continue
-        kind = record.get("kind")
-        if kind == "header":
-            info.experiment = record.get("experiment", "")
-            info.created_unix = float(record.get("created_unix", 0.0))
-            if record.get("schema") != JOURNAL_SCHEMA_VERSION:
-                info.mergeable = False
-            if record.get("model") != model_constants_fingerprint():
-                info.mergeable = False
-        elif kind == "point":
-            if record.get("status") == "failed":
-                info.points_failed += 1
-            else:
-                info.points_ok += 1
-        elif kind == "end":
-            info.complete = record.get("status") == "complete"
+def _summarize(info: RunInfo, record: dict, first: bool) -> None:
+    """Fold one record into a run's summary (payloads are not decoded).
+    A log whose ``first`` record is not its header (torn, or skipped for
+    a mistyped field) names no model constants: it is never merged."""
+    kind = record.get("kind")
+    if first and kind != "header":
+        info.mergeable = False
+    if kind == "header":
+        info.experiment = record.get("experiment") or info.experiment
+        info.created_unix = record.get("created_unix", 0.0)
+        if (
+            record.get("schema") != JOURNAL_SCHEMA_VERSION
+            or record.get("model") != model_constants_fingerprint()
+        ):
+            # Results computed under different model constants must not
+            # be merged into a current-model run.
+            info.mergeable = False
+    elif kind == "point":
+        if record.get("status") == "failed":
+            info.points_failed += 1
+        else:
+            info.points_ok += 1
+    elif kind == "end":
+        info.complete = record.get("status") == "complete"
 
 
 def runs_report(runs_dir: str | None = None) -> str:

@@ -285,7 +285,7 @@ class _Pending:
     __slots__ = (
         "request", "deadline", "event", "value", "error", "submitted_at",
         "fingerprint", "coalesce_key", "followers", "journal_id",
-        "idem_key", "idem_client", "follower_tenants",
+        "accepted", "idem_key", "idem_client", "follower_tenants",
     )
 
     def __init__(self, request: CompileRequest, deadline: Deadline | None):
@@ -306,6 +306,10 @@ class _Pending:
         self.followers = 0
         #: Journal entry id while journaled (None: non-durable).
         self.journal_id: str | None = None
+        #: Set once the accept append has run (None: no accept is owed).
+        #: A worker writes the dispatched record only after it, so an
+        #: entry's records keep lifecycle order in the WAL.
+        self.accepted: threading.Event | None = None
         #: The idempotency key this flight is registered under.
         self.idem_key: str | None = None
         #: True when ``idem_key`` came from the client (vs derived).
@@ -702,9 +706,15 @@ class CompileService:
             self._journal_checkpoint()
             raise
         if queued:
-            self._journal_accept(
-                pending, request, key, client_key, cls, sync_accept
-            )
+            try:
+                self._journal_accept(
+                    pending, request, key, client_key, cls, sync_accept
+                )
+            finally:
+                # Even if the append raised: a worker may be waiting.
+                if pending.accepted is not None:
+                    pending.accepted.set()
+            self._journal_checkpoint()
         return pending
 
     def _admit(
@@ -791,6 +801,7 @@ class CompileService:
                 # The id is minted under the lock so the worker always
                 # sees it; the append happens after release.
                 pending.journal_id = self.journal.new_entry_id()
+                pending.accepted = threading.Event()
             self._queue.push(
                 pending, cls, tenant, weight=self.quotas.weight_for(tenant)
             )
@@ -858,7 +869,8 @@ class CompileService:
         pickle (synthetic test graphs, say) simply stays non-durable; a
         journal write failure (disk full) is remembered and surfaced in
         health, but the already-queued request still runs — availability
-        over durability.
+        over durability.  A worker that picked the request up meanwhile
+        waits for this append before journaling its dispatch.
         """
         journal = self.journal
         if journal is None or pending.journal_id is None:
@@ -880,7 +892,6 @@ class CompileService:
             durable = False
         if not durable:
             pending.journal_id = None
-        self._journal_checkpoint()
 
     # -- workers ---------------------------------------------------------------
 
@@ -923,6 +934,8 @@ class CompileService:
                 pending = self._queue.pop()
                 if pending is None:  # pragma: no cover - defensive
                     continue
+            if pending.accepted is not None:
+                pending.accepted.wait()
             if self.journal is not None and pending.journal_id is not None:
                 try:
                     self.journal.record_dispatched(pending.journal_id)

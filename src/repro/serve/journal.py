@@ -3,8 +3,8 @@
 The broker's admission state was memory-only: a ``kill -9`` of the
 serving process (or a deploy) silently discarded every admitted request,
 and a client that retried after an ambiguous failure could pay for the
-same compile twice.  This module closes both gaps with the same
-record/replay discipline as :mod:`repro.perf.journal`:
+same compile twice.  This module closes both gaps with a WAL built on
+the append-only log of :mod:`repro.perf.journal`:
 
 * every **admitted** :class:`~repro.serve.broker.CompileRequest` is
   appended before the submit returns, as an ``accepted`` record
@@ -47,28 +47,37 @@ spares a replay, so those are not fsync'd.
 Format: JSON Lines under ``$REPRO_SERVE_JOURNAL_DIR`` (one file,
 ``serve-wal.jsonl``), guarded by an exclusive ``flock`` so two broker
 processes can never interleave appends.  Reading is maximally tolerant
-(torn final line, corrupt middle lines, and checksum-mismatched
-payloads are skipped, never raised); writing failures raise
-:class:`~repro.errors.JournalError`.  The file is **compacted** on
-boot: a fresh file is rewritten with only the live entries (incomplete
-ones plus completed ones still inside the dedup TTL) and the latest
-checkpoint, then atomically renamed over the old one, so the WAL stays
-bounded across restarts.
+(torn final line, corrupt middle lines, records with a mistyped field
+and checksum-mismatched payloads are skipped, never raised); writing
+failures raise :class:`~repro.errors.JournalError`.  A WAL that does
+not start with a readable header of this schema is set aside, never
+merged.  One fold builds the in-memory view, from the file at boot and
+from each record as it is appended.  The file is **compacted** at boot,
+and on a background thread once a checkpoint finds it past
+:data:`COMPACT_MIN_BYTES` and doubled since the last compaction: a
+fresh file is written with only the live entries (incomplete ones plus
+completed ones still inside the dedup TTL) and the latest checkpoint,
+then atomically renamed over the old one, so the WAL stays bounded
+while serving and across restarts.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import itertools
-import json
 import os
-import pickle
 import threading
 import time
 from typing import Any, Callable
 
 from ..errors import JournalError
+from ..perf.journal import (
+    AppendLog,
+    decode_blob,
+    encode_blob,
+    encode_line,
+    load_blob,
+    read_records,
+)
 
 try:
     import fcntl
@@ -82,9 +91,27 @@ SERVE_JOURNAL_SCHEMA = 1
 #: The WAL file name inside the journal directory.
 WAL_NAME = "serve-wal.jsonl"
 
+#: A running broker compacts its WAL once the file is past this size and
+#: twice its size after the previous compaction (checked at checkpoints).
+COMPACT_MIN_BYTES = 8 << 20
+
 #: Lifecycle states an entry can be in.
 INCOMPLETE_STATES = ("accepted", "dispatched")
 TERMINAL_STATES = ("done", "failed", "shed")
+
+_NONE = type(None)
+#: The type of each entry field the fold reads.
+_FIELD_TYPES = {
+    "id": str,
+    "idem": (str, _NONE),
+    "derived": bool,
+    "fp": (str, _NONE),
+    "tenant": str,
+    "class": str,
+    "deadline_s": (int, float, _NONE),
+    "created_unix": (int, float),
+    "completed_unix": (int, float),
+}
 
 
 def default_ttl_s() -> float:
@@ -96,60 +123,38 @@ def default_ttl_s() -> float:
 
 
 class JournalEntry:
-    """The folded state of one journaled request."""
+    """One live request: its lifecycle status and the record that
+    defines it — its accept while incomplete, its done once completed.
+    The record's ``payload`` is held as the pickled bytes, not the base64
+    text they are written as."""
 
     __slots__ = (
-        "id", "status", "idem", "derived", "fp", "tenant", "cls",
+        "record", "status", "id", "idem", "derived", "fp", "tenant", "cls",
         "deadline_s", "created_unix", "completed_unix",
-        "request_blob", "result_blob",
     )
 
-    def __init__(self, entry_id: str):
-        self.id = entry_id
-        self.status = "accepted"
+    def __init__(self, record: dict, status: str):
+        self.record = record
+        self.status = status
+        self.id: str = record["id"]
         #: The idempotency key (None: request was not idempotency-keyed).
-        self.idem: str | None = None
+        self.idem: str | None = record.get("idem")
         #: True when ``idem`` was derived from the content fingerprint
         #: (it then doubles as the broker's single-flight key on replay).
-        self.derived = True
+        self.derived: bool = record.get("derived", True)
         #: The content fingerprint at accept time (conflict detection).
-        self.fp: str | None = None
-        self.tenant = ""
-        self.cls = "batch"
-        self.deadline_s: float | None = None
-        self.created_unix = 0.0
-        self.completed_unix = 0.0
-        #: Pickled request (present while incomplete).
-        self.request_blob: bytes | None = None
-        #: Pickled result (present for dedup-able ``done`` entries).
-        self.result_blob: bytes | None = None
+        self.fp: str | None = record.get("fp")
+        self.tenant: str = record.get("tenant", "")
+        self.cls: str = record.get("class", "batch")
+        self.deadline_s: float | None = record.get("deadline_s")
+        self.created_unix: float = record.get("created_unix", 0.0)
+        self.completed_unix: float = record.get("completed_unix", 0.0)
 
-
-def _encode_blob(value: Any) -> tuple[str, str] | None:
-    """(base64 payload, sha256) for a picklable value, else None."""
-    try:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
-    return (
-        base64.b64encode(blob).decode("ascii"),
-        hashlib.sha256(blob).hexdigest(),
-    )
-
-
-def _decode_blob(record: dict) -> bytes | None:
-    """The checksum-verified raw blob of a record, or None when torn."""
-    payload = record.get("payload")
-    digest = record.get("sha256")
-    if not isinstance(payload, str) or not isinstance(digest, str):
-        return None
-    try:
-        blob = base64.b64decode(payload.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return None
-    if hashlib.sha256(blob).hexdigest() != digest:
-        return None  # torn or corrupted: treat as never written
-    return blob
+    @property
+    def stored(self) -> bool:
+        """True when the record carries a pickle: the request of an
+        accept, or the result a client-keyed done dedups with."""
+        return "payload" in self.record
 
 
 def disabled_health(path: str | None, error: str | None) -> dict:
@@ -182,7 +187,9 @@ class ServeJournal:
     its submit path and from every worker thread); each record is
     flushed before the append returns and fsync'd when it backs a
     promise (see the module docstring).  Memory holds the incomplete
-    entries and the client-keyed results still inside the dedup TTL.
+    entries and the client-keyed results still inside the dedup TTL,
+    and only :meth:`_fold` changes it: at boot for every record read,
+    then for every record appended, under the lock that wrote it.
     """
 
     def __init__(
@@ -199,7 +206,9 @@ class ServeJournal:
         self.checkpoint_interval_s = checkpoint_interval_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._handle = None
+        #: The thread compacting the WAL while serving, if any.
+        self._compactor: threading.Thread | None = None
+        self._log = AppendLog(self.path, self._header)
         self._lockfile = None
         self._closed = False
         #: Monotonic time of the last checkpoint; None until the first,
@@ -210,6 +219,8 @@ class ServeJournal:
         self._entries: dict[str, JournalEntry] = {}
         #: idem key -> entry id, for dedup lookups.
         self._by_idem: dict[str, str] = {}
+        #: WAL size right after the last compaction.
+        self._compacted_size = 0
         self._ids = itertools.count(1)
         self.counters = {
             "replayed_at_boot": 0,
@@ -224,13 +235,14 @@ class ServeJournal:
         os.makedirs(directory, exist_ok=True)
         self._acquire_lock(lock_timeout_s)
         self._load()
-        self._prune_expired()
+        self._prune(boot=True)
         self.counters["incomplete_at_boot"] = sum(
             1
             for entry in self._entries.values()
             if entry.status in INCOMPLETE_STATES
         )
-        self._compact()
+        if os.path.exists(self.path):
+            self._compact()
 
     # -- exclusive ownership ---------------------------------------------------
 
@@ -261,130 +273,96 @@ class ServeJournal:
                     )
                 time.sleep(0.1)
 
-    # -- reading / recovery ----------------------------------------------------
+    # -- the view --------------------------------------------------------------
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
-        except OSError:
-            return
-        schema_mismatch = False
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn mid-write or scribbled on: skip
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            if kind == "header":
-                if record.get("schema") != SERVE_JOURNAL_SCHEMA:
-                    schema_mismatch = True
-                    break
-            elif kind == "accepted":
-                self._fold_accepted(record)
-            elif kind == "dispatched":
-                entry = self._entries.get(str(record.get("id")))
-                if entry is not None and entry.status == "accepted":
-                    entry.status = "dispatched"
-            elif kind == "done":
-                self._fold_done(record)
-            elif kind in ("failed", "shed"):
-                entry = self._entries.pop(str(record.get("id")), None)
-                if entry is not None and entry.idem is not None:
-                    self._by_idem.pop(entry.idem, None)
-            elif kind == "checkpoint":
-                self._checkpoint_state = record
-        # A closed entry without a stored result only guarded against
-        # its own accept record later in the file; it is read now.
-        for entry_id in [
-            entry.id for entry in self._entries.values()
-            if entry.status == "done" and entry.result_blob is None
-        ]:
-            del self._entries[entry_id]
-        if schema_mismatch:
-            # Never merge across schemas, never silently delete: set the
-            # old WAL aside and start fresh.
-            self._entries.clear()
-            self._by_idem.clear()
-            self._checkpoint_state = None
-            try:
-                os.replace(self.path, self.path + ".stale")
-            except OSError:
-                pass
+        records = read_records(self.path, _FIELD_TYPES)
+        for index, record in enumerate(records):
+            if index == 0 and (
+                record.get("kind") != "header"
+                or record.get("schema") != SERVE_JOURNAL_SCHEMA
+            ):
+                # Another schema, or no readable header to name one:
+                # never merge, never silently delete.  Set the old WAL
+                # aside and start fresh.
+                try:
+                    os.replace(self.path, self.path + ".stale")
+                except OSError:
+                    pass
+                return
+            if "payload" in record:
+                record["payload"] = decode_blob(record)
+                if record["payload"] is None:
+                    # Torn or corrupted: the record still opens or
+                    # closes its entry, but stores nothing.
+                    del record["payload"]
+                    record.pop("sha256", None)
+            self._fold(record)
 
-    def _fold_accepted(self, record: dict) -> None:
-        entry_id = record.get("id")
-        if not isinstance(entry_id, str):
-            return
-        if entry_id in self._entries:
-            # A done record for this id was appended first (the submit
-            # path journals after enqueue, and a cache-hit compile can
-            # beat the accept append): the terminal state wins — folding
-            # the accept over it would re-run completed work on replay.
-            return
-        entry = JournalEntry(entry_id)
-        idem = record.get("idem")
-        entry.idem = idem if isinstance(idem, str) else None
-        entry.derived = bool(record.get("derived", True))
-        fp = record.get("fp")
-        entry.fp = fp if isinstance(fp, str) else None
-        entry.tenant = str(record.get("tenant", ""))
-        entry.cls = str(record.get("class", "batch"))
-        deadline_s = record.get("deadline_s")
-        entry.deadline_s = (
-            float(deadline_s) if isinstance(deadline_s, (int, float)) else None
-        )
-        entry.created_unix = float(record.get("created_unix", 0.0))
-        entry.request_blob = _decode_blob(record)
-        self._entries[entry_id] = entry
-        if entry.idem is not None:
-            self._by_idem[entry.idem] = entry_id
+    def _fold(self, record: dict) -> None:
+        """Apply one record to the view (lock held, or at boot).
 
-    def _fold_done(self, record: dict) -> None:
-        entry_id = str(record.get("id"))
-        entry = self._entries.get(entry_id)
-        if entry is None:
-            # Compacted form: a done record can stand alone, carrying
-            # its own idem/fp/created fields.
-            entry = JournalEntry(entry_id)
-            idem = record.get("idem")
-            entry.idem = idem if isinstance(idem, str) else None
-            fp = record.get("fp")
-            entry.fp = fp if isinstance(fp, str) else None
-            entry.created_unix = float(record.get("created_unix", 0.0))
-            self._entries[entry_id] = entry
-            if entry.idem is not None:
-                self._by_idem[entry.idem] = entry_id
-        entry.status = "done"
-        entry.completed_unix = float(record.get("completed_unix", 0.0))
-        entry.request_blob = None  # no longer needed for replay
-        entry.result_blob = _decode_blob(record)
-        if entry.result_blob is None and entry.idem is not None:
-            # Completed, but the result cannot be replayed: the entry is
-            # closed (no re-execution) yet cannot serve dedup hits.
-            self._by_idem.pop(entry.idem, None)
-
-    def _prune_expired(self) -> None:
-        # Called with the lock held (or before any other thread exists).
-        if self.ttl_s <= 0:
+        One entry's records may come in any order (a WAL written by a
+        broker whose workers did not wait for the accept append can hold
+        a fast cache hit's done before its accept).  No hashing, base64
+        or pickling happens here: payloads are verified when they are
+        loaded and unpickled when they are used.
+        """
+        kind = record.get("kind")
+        if kind == "checkpoint":
+            self._checkpoint_state = record
             return
-        cutoff = self._clock() - self.ttl_s
-        for entry_id in list(self._entries):
-            entry = self._entries[entry_id]
-            if entry.status != "done":
-                continue
-            stamp = entry.completed_unix or entry.created_unix
-            if stamp <= cutoff:
-                del self._entries[entry_id]
-                if entry.idem is not None and (
-                    self._by_idem.get(entry.idem) == entry_id
-                ):
-                    del self._by_idem[entry.idem]
+        if "id" not in record:
+            return
+        entry = self._entries.get(record["id"])
+        if kind == "accepted":
+            if entry is None:
+                self._add(JournalEntry(record, "accepted"))
+            elif entry.status == "done" and not entry.stored:
+                # Its done came first and only waited for this.  A
+                # stored done wins: the accept would re-run completed
+                # work on replay.
+                self._drop(entry)
+        elif kind == "dispatched":
+            if entry is not None and entry.status == "accepted":
+                entry.status = "dispatched"
+        elif kind == "done":
+            if entry is not None:
+                self._drop(entry)
+            if "payload" in record or entry is None:
+                # A stored result serves dedup; a done that beat its
+                # accept append stays as a marker for that accept.
+                self._add(JournalEntry(record, "done"))
+        elif kind in ("failed", "shed") and entry is not None:
+            self._drop(entry)
+
+    def _add(self, entry: JournalEntry) -> None:
+        self._entries[entry.id] = entry
+        if entry.idem is not None and (
+            entry.status != "done" or entry.stored
+        ):
+            self._by_idem[entry.idem] = entry.id
+
+    def _drop(self, entry: JournalEntry) -> None:
+        del self._entries[entry.id]
+        if self._by_idem.get(entry.idem) == entry.id:
+            del self._by_idem[entry.idem]
+
+    def _expired(self, entry: JournalEntry) -> bool:
+        stamp = entry.completed_unix or entry.created_unix
+        return self.ttl_s > 0 and stamp <= self._clock() - self.ttl_s
+
+    def _prune(self, boot: bool = False) -> None:
+        """Drop done entries past the dedup TTL (lock held, or at boot).
+
+        At boot every record the predecessor wrote has been read, so a
+        done marker still waiting for its accept goes too.
+        """
+        for entry in list(self._entries.values()):
+            if entry.status == "done" and (
+                (boot and not entry.stored) or self._expired(entry)
+            ):
+                self._drop(entry)
 
     def take_incomplete(self) -> list[tuple[JournalEntry, Any]]:
         """Decode every incomplete entry's request for replay.
@@ -398,13 +376,8 @@ class ServeJournal:
         for entry in list(self._entries.values()):
             if entry.status not in INCOMPLETE_STATES:
                 continue
-            request = None
-            if entry.request_blob is not None:
-                try:
-                    request = pickle.loads(entry.request_blob)
-                except Exception:
-                    request = None
-            if request is None:
+            replays, request = load_blob(entry.record.get("payload"))
+            if not replays:
                 self.counters["unreplayable_at_boot"] += 1
                 self.record_shed(entry.id, "unreplayable at recovery")
                 continue
@@ -425,23 +398,16 @@ class ServeJournal:
         decode so callers can reject key reuse with different content.
         """
         with self._lock:
-            entry_id = self._by_idem.get(idem)
-            if entry_id is None:
+            entry = self._entries.get(self._by_idem.get(idem))
+            if entry is None:
                 return False, None, None
-            entry = self._entries.get(entry_id)
-            if entry is None or entry.status != "done":
-                return False, None, entry.fp if entry else None
-            if self.ttl_s > 0:
-                stamp = entry.completed_unix or entry.created_unix
-                if stamp <= self._clock() - self.ttl_s:
-                    del self._entries[entry_id]
-                    del self._by_idem[idem]
-                    return False, None, None
-            if entry.result_blob is None:
+            if entry.status != "done":
                 return False, None, entry.fp
-            try:
-                value = pickle.loads(entry.result_blob)
-            except Exception:
+            if self._expired(entry):
+                self._drop(entry)
+                return False, None, None
+            stored, value = load_blob(entry.record.get("payload"))
+            if not stored:
                 return False, None, entry.fp
             self.counters["dedup_hits"] += 1
             return True, value, entry.fp
@@ -451,56 +417,33 @@ class ServeJournal:
     def new_entry_id(self) -> str:
         return f"{os.getpid()}-{next(self._ids)}-{os.urandom(4).hex()}"
 
+    def _header(self) -> dict:
+        return {
+            "kind": "header",
+            "schema": SERVE_JOURNAL_SCHEMA,
+            "created_unix": self._clock(),
+        }
+
     def _append(self, record: dict, sync: bool = True) -> None:
-        """Write one record to the OS; with ``sync``, fsync it too."""
+        """Write one record to the OS (fsync'd with ``sync``) and fold it
+        under the same lock: the view never runs ahead of the file, and
+        a compaction never drops a record that is written.  The line is
+        encoded before the lock is taken."""
         start = time.monotonic()
+        line = encode_line(record)
         with self._lock:
             try:
                 if self._closed:
                     raise OSError("journal is closed")
-                if self._handle is None:
-                    self._open_for_append()
-                line = json.dumps(
-                    record, sort_keys=True, separators=(",", ":")
-                )
-                self._handle.write(line + "\n")
-                self._handle.flush()
-                if sync:
-                    os.fsync(self._handle.fileno())
+                self._log.append(line, sync)
             except OSError as exc:
                 self.counters["append_failures"] += 1
                 raise JournalError(
                     f"cannot append to serve journal {self.path}: {exc}"
                 ) from exc
+            self._fold(record)
             self.counters["appends"] += 1
             self.counters["append_wall_s"] += time.monotonic() - start
-
-    def _open_for_append(self) -> None:
-        # Called with the lock held.
-        is_new = not os.path.exists(self.path)
-        torn = False
-        if not is_new:
-            # A crash can leave a torn final line with no newline;
-            # terminate it so the next record starts on its own line.
-            with open(self.path, "rb") as existing:
-                existing.seek(0, os.SEEK_END)
-                if existing.tell() > 0:
-                    existing.seek(-1, os.SEEK_END)
-                    torn = existing.read(1) != b"\n"
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if torn:
-            self._handle.write("\n")
-        if is_new:
-            header = json.dumps(
-                {
-                    "kind": "header",
-                    "schema": SERVE_JOURNAL_SCHEMA,
-                    "created_unix": self._clock(),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            self._handle.write(header + "\n")
 
     def record_accepted(
         self,
@@ -520,56 +463,30 @@ class ServeJournal:
         ``sync`` fsyncs the record: set it when the caller is about to
         acknowledge the acceptance.
         """
-        encoded = _encode_blob(request)
-        now = self._clock()
-        if encoded is not None:
-            payload, digest = encoded
-            self._append(
-                {
-                    "kind": "accepted",
-                    "id": entry_id,
-                    "idem": idem,
-                    "derived": derived,
-                    "fp": fp,
-                    "tenant": tenant,
-                    "class": cls,
-                    "deadline_s": deadline_s,
-                    "payload": payload,
-                    "sha256": digest,
-                    "created_unix": now,
-                },
-                sync=sync,
-            )
-        with self._lock:
-            early = self._entries.get(entry_id)
-            if early is not None:
-                # Its done record was appended first (a cache hit can
-                # beat the accept append): the terminal state wins.  A
-                # done without a stored result only waited for this.
-                if early.result_blob is None:
-                    del self._entries[entry_id]
-            elif encoded is not None:
-                entry = JournalEntry(entry_id)
-                entry.idem = idem
-                entry.derived = derived
-                entry.fp = fp
-                entry.tenant = tenant
-                entry.cls = cls
-                entry.deadline_s = deadline_s
-                entry.created_unix = now
-                self._entries[entry_id] = entry
-                if idem is not None:
-                    self._by_idem[idem] = entry_id
-        return encoded is not None
+        encoded = encode_blob(request)
+        if encoded is None:
+            return False
+        self._append(
+            {
+                "kind": "accepted",
+                "id": entry_id,
+                "idem": idem,
+                "derived": derived,
+                "fp": fp,
+                "tenant": tenant,
+                "class": cls,
+                "deadline_s": deadline_s,
+                "created_unix": self._clock(),
+                **encoded,
+            },
+            sync=sync,
+        )
+        return True
 
     def record_dispatched(self, entry_id: str) -> None:
         # Not fsync'd: recovery treats a dispatched entry exactly like
         # an accepted one, so losing this record loses nothing.
         self._append({"kind": "dispatched", "id": entry_id}, sync=False)
-        with self._lock:
-            entry = self._entries.get(entry_id)
-            if entry is not None and entry.status == "accepted":
-                entry.status = "dispatched"
 
     def record_done(
         self,
@@ -591,45 +508,20 @@ class ServeJournal:
         serve dedup hits.
         """
         now = self._clock()
+        created = now
         with self._lock:
             entry = self._entries.get(entry_id)
             if entry is not None:
                 if idem is None and not entry.derived:
                     idem = entry.idem
                 fp = fp if fp is not None else entry.fp
+                created = entry.created_unix
         record: dict = {"kind": "done", "id": entry_id, "completed_unix": now}
-        encoded = None
         if idem is not None:
-            encoded = _encode_blob(value)
-            record.update(
-                idem=idem, fp=fp,
-                created_unix=entry.created_unix if entry else now,
-            )
-            if encoded is not None:
-                record["payload"], record["sha256"] = encoded
+            record.update(idem=idem, fp=fp, created_unix=created)
+            record.update(encode_blob(value) or {})
         self._append(record, sync=idem is not None)
-        with self._lock:
-            entry = self._entries.pop(entry_id, None)
-            if entry is not None:
-                if self._by_idem.get(entry.idem) == entry_id:
-                    del self._by_idem[entry.idem]
-                if encoded is None:
-                    return False  # closed, with nothing to look up
-            else:
-                # The accept append is still to come: keep a closed
-                # marker for it to fold against.
-                entry = JournalEntry(entry_id)
-                entry.created_unix = now
-            entry.idem = idem
-            entry.fp = fp
-            entry.status = "done"
-            entry.completed_unix = now
-            entry.request_blob = None
-            if encoded is not None:
-                entry.result_blob = base64.b64decode(encoded[0])
-                self._by_idem[idem] = entry_id
-            self._entries[entry_id] = entry
-        return encoded is not None
+        return "payload" in record
 
     def record_failed(self, entry_id: str, error_type: str, error: str) -> None:
         """Close an entry as failed.  Failed entries never dedup: a
@@ -642,7 +534,6 @@ class ServeJournal:
                 "error": error[:500],
             }
         )
-        self._drop_entry(entry_id)
 
     def record_shed(self, entry_id: str, reason: str) -> None:
         """Close an entry that was terminated without execution."""
@@ -652,22 +543,16 @@ class ServeJournal:
             )
         except JournalError:
             pass  # best effort: shed records only save a future replay
-        self._drop_entry(entry_id)
-
-    def _drop_entry(self, entry_id: str) -> None:
-        with self._lock:
-            entry = self._entries.pop(entry_id, None)
-            if entry is not None and entry.idem is not None and (
-                self._by_idem.get(entry.idem) == entry_id
-            ):
-                del self._by_idem[entry.idem]
 
     def checkpoint(self, state: dict, force: bool = False) -> bool:
         """Append a quota/brownout snapshot, throttled to one per
         ``checkpoint_interval_s`` unless forced.
 
         Each one also drops the dedup entries past their TTL, so a
-        long-running broker does not hold every result it ever served.
+        long-running broker does not hold every result it ever served,
+        and once the WAL has outgrown its live entries
+        (:data:`COMPACT_MIN_BYTES`) starts :meth:`_compact`, so the file
+        stays bounded too.
         """
         now = time.monotonic()
         with self._lock:
@@ -678,7 +563,16 @@ class ServeJournal:
             ):
                 return False
             self._last_checkpoint = now
-            self._prune_expired()
+            self._prune()
+            if not self._closed and self._log.size > max(
+                COMPACT_MIN_BYTES, 2 * self._compacted_size
+            ) and not (self._compactor and self._compactor.is_alive()):
+                # Off the caller's path: a rewrite takes as long as the
+                # live set is large.
+                self._compactor = threading.Thread(
+                    target=self._compact, name="serve-wal-compact", daemon=True
+                )
+                self._compactor.start()
         record = {"kind": "checkpoint", "time_unix": self._clock()}
         record.update(state)
         try:
@@ -686,93 +580,45 @@ class ServeJournal:
         except JournalError:
             return False
         with self._lock:
-            self._checkpoint_state = record
             self.counters["checkpoints"] += 1
         return True
 
-    # -- compaction ------------------------------------------------------------
-
     def _compact(self) -> None:
-        """Rewrite the WAL with only the live entries, atomically.
+        """Rewrite the WAL with only the live entries, atomically: the
+        latest checkpoint, then each entry's defining record, verbatim.
 
-        Runs at boot (after load + TTL pruning).  The temp file is
-        fsync'd before the rename, so a crash mid-compaction leaves
-        either the old complete WAL or the new complete WAL — never a
-        mix, never a loss.
+        Runs at boot, and on its own thread when a checkpoint finds the
+        WAL grown.  Only the first and last steps take the journal lock:
+        the first snapshots the live records with the file size they
+        reflect, the rewrite (base64 and fsync) runs without the lock,
+        and the last copies what was appended meanwhile and renames.  So
+        appends and dedup lookups wait for that tail, not the live set.
         """
-        if not os.path.exists(self.path):
-            return
-        temp_path = self.path + ".compact"
         try:
-            with open(temp_path, "w", encoding="utf-8") as handle:
-                def write(record: dict) -> None:
-                    handle.write(
-                        json.dumps(
-                            record, sort_keys=True, separators=(",", ":")
-                        )
-                        + "\n"
-                    )
-
-                write(
-                    {
-                        "kind": "header",
-                        "schema": SERVE_JOURNAL_SCHEMA,
-                        "created_unix": self._clock(),
-                    }
+            with self._lock:
+                if self._closed:
+                    return
+                records = (
+                    [self._checkpoint_state] if self._checkpoint_state else []
                 )
-                if self._checkpoint_state is not None:
-                    write(self._checkpoint_state)
                 for entry in self._entries.values():
-                    if entry.status in INCOMPLETE_STATES:
-                        if entry.request_blob is None:
-                            continue
-                        record = {
-                            "kind": "accepted",
-                            "id": entry.id,
-                            "idem": entry.idem,
-                            "derived": entry.derived,
-                            "fp": entry.fp,
-                            "tenant": entry.tenant,
-                            "class": entry.cls,
-                            "deadline_s": entry.deadline_s,
-                            "payload": base64.b64encode(
-                                entry.request_blob
-                            ).decode("ascii"),
-                            "sha256": hashlib.sha256(
-                                entry.request_blob
-                            ).hexdigest(),
-                            "created_unix": entry.created_unix,
-                        }
-                        write(record)
-                        if entry.status == "dispatched":
-                            write({"kind": "dispatched", "id": entry.id})
-                    elif entry.status == "done":
-                        record = {
-                            "kind": "done",
-                            "id": entry.id,
-                            "idem": entry.idem,
-                            "fp": entry.fp,
-                            "created_unix": entry.created_unix,
-                            "completed_unix": entry.completed_unix,
-                        }
-                        if entry.result_blob is not None:
-                            record["payload"] = base64.b64encode(
-                                entry.result_blob
-                            ).decode("ascii")
-                            record["sha256"] = hashlib.sha256(
-                                entry.result_blob
-                            ).hexdigest()
-                        write(record)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, self.path)
+                    records.append(entry.record)
+                    if entry.status == "dispatched":
+                        records.append({"kind": "dispatched", "id": entry.id})
+                # Also what a failed rewrite waits to see doubled.
+                since = self._compacted_size = self._log.size
+            # Open until after the rename: the old file's blocks are
+            # freed when it closes, without the lock.
+            with open(self.path, "rb"):
+                temp_path = self._log.write_aside(records)
+                with self._lock:
+                    if self._closed:
+                        os.unlink(temp_path)
+                        return
+                    self._log.replace(temp_path, since)
+                    self._compacted_size = self._log.size
         except OSError:
-            # Compaction is an optimization; the uncompacted WAL is
-            # still correct.
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
+            pass  # an optimization: the uncompacted WAL is still correct
 
     # -- observability ---------------------------------------------------------
 
@@ -800,12 +646,11 @@ class ServeJournal:
 
     def close(self) -> None:
         with self._lock:
-            self._closed = True
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                finally:
-                    self._handle = None
+            self._closed = True  # a running compactor gives up
+        if self._compactor is not None:
+            self._compactor.join()  # its temp file must not outlive the flock
+        with self._lock:
+            self._log.close()
             if self._lockfile is not None:
                 try:
                     if fcntl is not None:

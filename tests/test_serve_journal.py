@@ -4,8 +4,10 @@ Three layers under test:
 
 * :class:`repro.serve.journal.ServeJournal` alone — the lifecycle fold
   (accepted → dispatched → done|failed|shed), tolerant reads over torn
-  files, TTL'd dedup, checkpoints, boot compaction, and the flock that
-  keeps two brokers off one directory;
+  files, TTL'd dedup, checkpoints, compaction at boot and while
+  serving, the flock that keeps two brokers off one directory, and a
+  property: after any history the broker writes, the in-memory view is
+  what a reopened journal folds from the file;
 * the broker integration — a submit is fsync'd before it is
   acknowledged, duplicate idempotency keys dedup against the journal or
   join the in-flight leader, key reuse with different content is a typed
@@ -19,11 +21,16 @@ Three layers under test:
 import collections
 import json
 import os
+import tempfile
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.serve.journal as journal_module
 from repro.cluster import paper_testbed
 from repro.errors import (
     IdempotencyConflictError,
@@ -31,7 +38,7 @@ from repro.errors import (
     QuotaExceededError,
 )
 from repro.serve.broker import CompileRequest, CompileService, ServiceConfig
-from repro.serve.journal import ServeJournal
+from repro.serve.journal import INCOMPLETE_STATES, ServeJournal
 from repro.serve.quota import QuotaConfig, TenantLimits
 
 from tests.conftest import build_chain, build_diamond
@@ -307,6 +314,238 @@ class TestJournalLifecycle:
         assert reopened.take_incomplete() == []
         assert os.path.exists(reopened.path + ".stale")
         reopened.close()
+
+
+    def test_checkpoints_keep_a_serving_wal_bounded(
+        self, tmp_path, monkeypatch
+    ):
+        """A broker that never restarts still rewrites its WAL down to
+        the live entries, and the rewritten file replays exactly them."""
+        floor = 20_000
+        monkeypatch.setattr(journal_module, "COMPACT_MIN_BYTES", floor)
+        journal = ServeJournal(
+            str(tmp_path), ttl_s=3600, checkpoint_interval_s=0.0
+        )
+        keyed = journal.new_entry_id()
+        journal.record_accepted(
+            keyed, {"req": "keyed"}, idem="client-1", derived=False,
+            fp="fp-keyed", tenant="t", cls="batch", deadline_s=None,
+        )
+        journal.record_done(keyed, {"answer": 7})
+        inflight = []
+        for index in range(300):
+            entry_id = journal.new_entry_id()
+            journal.record_accepted(
+                entry_id, {"req": index, "pad": "x" * 200},
+                idem=f"compile:{index}", derived=True, fp=f"compile:{index}",
+                tenant="t", cls="batch", deadline_s=None, sync=False,
+            )
+            journal.record_dispatched(entry_id)
+            if index % 100 == 99:
+                inflight.append(entry_id)
+            else:
+                journal.record_done(entry_id, {"answer": index})
+            journal.checkpoint({"quotas": {}})
+            if journal._compactor is not None:
+                journal._compactor.join()
+            assert os.path.getsize(journal.path) < 2 * floor
+        live = journal.health()["live_entries"]
+        journal.close()
+        assert live == 1 + len(inflight)
+
+        reopened = ServeJournal(str(tmp_path), ttl_s=3600)
+        try:
+            replayed = reopened.take_incomplete()
+            assert sorted(entry.id for entry, _ in replayed) == sorted(inflight)
+            assert reopened.lookup("client-1") == (
+                True, {"answer": 7}, "fp-keyed"
+            )
+        finally:
+            reopened.close()
+
+    def test_appends_and_lookups_go_on_while_the_wal_is_rewritten(
+        self, tmp_path, monkeypatch
+    ):
+        """A runtime compaction takes the journal lock only to snapshot
+        the live set and to rename: the rewrite itself runs without it,
+        and what is appended meanwhile is copied after the snapshot."""
+        monkeypatch.setattr(journal_module, "COMPACT_MIN_BYTES", 0)
+        journal = ServeJournal(str(tmp_path), ttl_s=3600)
+        journal.record_accepted(
+            "early", {"req": "early"}, idem="client-1", derived=False,
+            fp="fp-1", tenant="t", cls="batch", deadline_s=None,
+        )
+        journal.record_done("early", {"answer": 1})
+        # Memory holds a stored result's bytes, not its base64 text.
+        assert isinstance(journal._entries["early"].record["payload"], bytes)
+
+        writing, release = threading.Event(), threading.Event()
+        locked = []
+        write_aside = journal_module.AppendLog.write_aside
+
+        def parked_write_aside(log, records):
+            locked.append(journal._lock.locked())
+            writing.set()
+            release.wait(10.0)
+            return write_aside(log, records)
+
+        monkeypatch.setattr(
+            journal_module.AppendLog, "write_aside", parked_write_aside
+        )
+        assert journal.checkpoint({"quotas": {}}, force=True)
+        assert writing.wait(10.0)
+        # The rewrite is parked: none of these may wait for it.
+        assert journal.lookup("client-1") == (True, {"answer": 1}, "fp-1")
+        journal.record_accepted(
+            "late", {"req": "late"}, idem="compile:late", derived=True,
+            fp="compile:late", tenant="t", cls="interactive", deadline_s=None,
+        )
+        journal.record_accepted(
+            "late-keyed", {"req": "late-keyed"}, idem="client-2",
+            derived=False, fp="fp-2", tenant="t", cls="batch", deadline_s=None,
+        )
+        journal.record_done("late-keyed", {"answer": 2})
+        release.set()
+        journal._compactor.join()
+        journal.close()
+        assert locked == [False]
+
+        accepted = [r["id"] for r in _wal_records(journal.path)
+                    if r["kind"] == "accepted"]
+        assert accepted == ["late", "late-keyed"]  # "early" was rewritten
+        reopened = ServeJournal(str(tmp_path), ttl_s=3600)
+        try:
+            [(entry, request)] = reopened.take_incomplete()
+            assert (entry.id, entry.cls, request) == (
+                "late", "interactive", {"req": "late"}
+            )
+            assert reopened.lookup("client-1") == (True, {"answer": 1}, "fp-1")
+            assert reopened.lookup("client-2") == (True, {"answer": 2}, "fp-2")
+        finally:
+            reopened.close()
+
+    def test_a_done_marker_survives_a_runtime_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        """A keyless done that beat its accept append is rewritten with
+        the live entries: the accept appended after the rewrite must
+        still fold against it, or a reopened journal replays the
+        completed request.  (A shrunk counterexample of the property
+        below.)"""
+        monkeypatch.setattr(journal_module, "COMPACT_MIN_BYTES", 0)
+        journal = ServeJournal(str(tmp_path), ttl_s=3600)
+        assert not journal.record_done("e0", {"answer": 0})
+        assert journal.checkpoint({"quotas": {}}, force=True)
+        journal.record_accepted(
+            "e0", {"req": 0}, idem="compile:0", derived=True,
+            fp="compile:0", tenant="t", cls="batch", deadline_s=None,
+        )
+        assert journal.health()["live_entries"] == 0
+        journal.close()
+        reopened = ServeJournal(str(tmp_path), ttl_s=3600)
+        try:
+            assert reopened.take_incomplete() == []
+        finally:
+            reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# The in-memory view is what a reopened journal folds from the file
+# ---------------------------------------------------------------------------
+
+_CLOCK = 1_000_000.0
+
+
+@st.composite
+def broker_histories(draw) -> list[tuple]:
+    """``record_*`` calls as a broker makes them: each entry has at most
+    one accept, one ``dispatched`` and one terminal record, in any order
+    across and within entries; client keys are unique, and a done
+    carries a key only when its entry is client-keyed.  Forced
+    checkpoints (which may compact) fall anywhere."""
+    calls = []
+    for index in range(draw(st.integers(1, 6))):
+        entry_id = f"e{index}"
+        fp = f"compile:{draw(st.integers(0, 2))}"
+        client_key = f"client-{index}" if draw(st.booleans()) else None
+        if draw(st.integers(0, 4)):  # the request pickled
+            calls.append((
+                "accepted", entry_id, client_key or fp, client_key is None,
+                fp, draw(st.sampled_from(["acme", "beta"])),
+                draw(st.sampled_from(["batch", "interactive"])),
+                draw(st.sampled_from([None, 2.5, 30])),
+            ))
+        if draw(st.booleans()):
+            calls.append(("dispatched", entry_id))
+        terminal = draw(st.sampled_from([None, "done", "failed", "shed"]))
+        if terminal == "done":
+            calls.append(("done", entry_id, client_key, fp))
+        elif terminal is not None:
+            calls.append((terminal, entry_id))
+    calls = list(draw(st.permutations(calls)))
+    for position in draw(st.lists(st.integers(0, len(calls)), max_size=3)):
+        calls.insert(position, ("checkpoint",))
+    return calls
+
+
+def _apply(journal: ServeJournal, call: tuple) -> None:
+    kind, args = call[0], call[1:]
+    if kind == "accepted":
+        entry_id, idem, derived, fp, tenant, cls, deadline_s = args
+        journal.record_accepted(
+            entry_id, {"req": entry_id}, idem=idem, derived=derived, fp=fp,
+            tenant=tenant, cls=cls, deadline_s=deadline_s, sync=False,
+        )
+    elif kind == "dispatched":
+        journal.record_dispatched(*args)
+    elif kind == "done":
+        entry_id, idem, fp = args
+        journal.record_done(entry_id, {"answer": entry_id}, idem=idem, fp=fp)
+    elif kind == "failed":
+        journal.record_failed(*args, "SolverError", "boom")
+    elif kind == "shed":
+        journal.record_shed(*args, "queue full")
+    else:
+        journal.checkpoint({"quotas": {}}, force=True)
+
+
+def _view(journal: ServeJournal) -> tuple[dict, dict]:
+    entries = {}
+    for entry in journal._entries.values():
+        if entry.status == "done" and not entry.stored:
+            continue  # a keyless done marker: boot drops it by design
+        folded = (entry.status, entry.idem, entry.fp)
+        if entry.status in INCOMPLETE_STATES:
+            folded += (entry.tenant, entry.cls, entry.deadline_s)
+        entries[entry.id] = folded
+    clients = {
+        key: entry_id for key, entry_id in journal._by_idem.items()
+        if key.startswith("client-")
+    }
+    return entries, clients
+
+
+class TestViewMatchesReplay:
+    @settings(max_examples=100, deadline=None)
+    @given(history=broker_histories())
+    def test_live_view_equals_a_reopened_journal(self, history):
+        with tempfile.TemporaryDirectory() as directory, mock.patch.object(
+            journal_module, "COMPACT_MIN_BYTES", 0
+        ):
+            journal = ServeJournal(
+                directory, ttl_s=3600, clock=lambda: _CLOCK
+            )
+            for call in history:
+                _apply(journal, call)
+            live = _view(journal)
+            journal.close()
+            reopened = ServeJournal(
+                directory, ttl_s=3600, clock=lambda: _CLOCK
+            )
+            try:
+                assert _view(reopened) == live
+            finally:
+                reopened.close()
 
 
 # ---------------------------------------------------------------------------
