@@ -18,9 +18,9 @@ from conftest import run_once
 
 def analyze_oracle_evidence():
     from repro.analyze import analyze_design, cross_check_design
-    from repro.cli import _build_app_graph
     from repro.cluster import paper_testbed
     from repro.core.compiler import compile_design
+    from repro.serve.server import build_app_graph
     from repro.sim.execution import SimulationConfig
 
     headers = [
@@ -30,7 +30,7 @@ def analyze_oracle_evidence():
     rows = []
     config = SimulationConfig(chunks=16)
     for app in ("stencil", "pagerank", "knn", "cnn"):
-        design = compile_design(_build_app_graph(app), paper_testbed(2))
+        design = compile_design(build_app_graph(app), paper_testbed(2))
         start = time.perf_counter()
         report = analyze_design(design, config)
         analyze_ms = (time.perf_counter() - start) * 1e3

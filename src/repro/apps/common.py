@@ -1,9 +1,12 @@
 """Shared glue for the benchmark applications.
 
 Every app exposes ``build_*(config) -> TaskGraph`` plus a config type
-describing one paper configuration.  This module maps the paper's flow
-labels (F1-V, F1-T, F2, F3, F4, ...) onto compiler invocations and wraps
-compile + simulate + host-level repetition into one measurement record.
+describing one paper configuration.  This module resolves a compile
+target — a flow (``tapa-cs``, ``tapa``, ``vitis``) with a cluster shape
+for the CLI and the HTTP body, or a paper flow label (F1-V, F1-T, F2,
+F3, F4, ...) for the bench — through one :func:`resolve_target`, and
+wraps compile + simulate + host-level repetition into one measurement
+record.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster.cluster import Cluster, make_cluster, paper_testbed
+from ..cluster.topology import make_topology
 from ..core.compiler import CompilerConfig, vitis_config
 from ..core.plan import CompiledDesign
-from ..errors import TapaCSError
+from ..devices.parts import get_part
+from ..errors import InvalidRequestError, TapaCSError
 from ..graph.graph import TaskGraph
-from ..serve.broker import service_compile, service_simulate
+from ..serve.broker import CompileRequest, get_service
 from ..sim.execution import SimulationConfig, SimulationResult
 
 
@@ -30,6 +35,42 @@ def flow_num_fpgas(flow: str) -> int:
     raise TapaCSError(f"unknown flow label {flow!r}")
 
 
+#: Compile flows: TAPA-CS on the requested cluster, or one of the
+#: paper's single-FPGA baselines (F1-T and F1-V).
+FLOWS = ("tapa-cs", "tapa", "vitis")
+
+
+def resolve_target(
+    flow: str,
+    fpgas: int,
+    topology: str,
+    part: str,
+    config: CompilerConfig | None = None,
+) -> tuple[Cluster, CompilerConfig | None, str]:
+    """``(cluster, compiler config, flow)`` for one compile target.
+
+    Mirrors :func:`repro.core.compiler.compile_single_vitis` /
+    ``compile_single_tapa`` for the single-FPGA baselines, so a request
+    through the service produces the same designs as the direct calls:
+    ``vitis`` is one device with the F1-V knob set (over ``config``),
+    ``tapa`` one device, whatever ``fpgas`` says.
+    """
+    if flow not in FLOWS:
+        raise InvalidRequestError(
+            f"unknown flow {flow!r}; choose from {', '.join(FLOWS)}"
+        )
+    device = get_part(part)
+    if flow == "vitis":
+        return make_cluster(1, part=device), vitis_config(config), flow
+    if flow == "tapa":
+        return make_cluster(1, part=device), config, flow
+    if topology == "paper":
+        return paper_testbed(fpgas), config, flow
+    return make_cluster(
+        fpgas, part=device, topology=make_topology(topology, fpgas)
+    ), config, flow
+
+
 def flow_target(
     flow: str,
     cluster: Cluster | None = None,
@@ -38,15 +79,17 @@ def flow_target(
     """Resolve a paper flow label into (cluster, config, flow-name).
 
     This is the canonical form the content-addressed cache keys on: the
-    F1-V label maps to the single-device Vitis knob set, F1-T to the
-    single-device TAPA flow, and FN to an N-FPGA testbed.
+    F1-V label is the ``vitis`` target, F1-T the ``tapa`` target, and FN
+    a ``tapa-cs`` target on the N-FPGA testbed (or ``cluster``), keyed
+    under its label.
     """
-    if flow == "F1-V":
-        return make_cluster(1), vitis_config(config), "vitis"
-    if flow == "F1-T":
-        return make_cluster(1), config or CompilerConfig(), "tapa"
     count = flow_num_fpgas(flow)
-    target = cluster or paper_testbed(count)
+    if flow in ("F1-V", "F1-T"):
+        target, config, name = resolve_target(
+            "vitis" if flow == "F1-V" else "tapa", 1, "paper", "u55c", config
+        )
+        return target, config or CompilerConfig(), name
+    target = cluster or resolve_target("tapa-cs", count, "paper", "u55c")[0]
     return target, config or CompilerConfig(), flow
 
 
@@ -65,9 +108,9 @@ def compile_flow(
     or sheds bench runs the same way it would any other client.
     """
     target, resolved_config, flow_name = flow_target(flow, cluster, config)
-    return service_compile(
-        graph, target, resolved_config, flow=flow_name, faults=faults
-    )
+    return get_service().execute(CompileRequest(
+        graph, target, resolved_config, flow=flow_name, faults=faults,
+    ))
 
 
 @dataclass(slots=True)
@@ -126,14 +169,10 @@ def run_flow(
     target, resolved_config, flow_name = flow_target(
         flow, cluster, compiler_config
     )
-    design, result = service_simulate(
-        graph,
-        target,
-        resolved_config,
-        flow=flow_name,
-        sim_config=sim_config,
-        faults=faults,
-    )
+    design, result = get_service().execute(CompileRequest(
+        graph, target, resolved_config, flow=flow_name, faults=faults,
+        kind="simulate", sim_config=sim_config,
+    ))
     return AppRun(
         app=app,
         flow=flow,

@@ -36,13 +36,17 @@ Commands:
   service-side counter deltas; ``--json`` emits the full report.
 * ``parts`` — list the device catalog.
 
-``compile`` and ``simulate`` route through the same
-:mod:`repro.serve` broker as the HTTP front end, so deadlines
-(``--deadline``), admission control, and circuit breakers behave
-identically everywhere.  Model-level failures exit with structured
-codes — 3 deadline exceeded, 4 overloaded/breaker open, 5 synthesis
-timeout, 6 degraded cluster, 1 any other finding — and ``--json``
-replaces the stderr message with the machine-readable error envelope.
+``compile`` and ``simulate`` are one handler and the HTTP front end's
+twin: they resolve ``--flow``/``--fpgas``/``--topology``/``--part`` with
+:func:`repro.apps.common.resolve_target`, send one
+:class:`~repro.serve.broker.CompileRequest` through the same
+:mod:`repro.serve` broker, and print the HTTP reply's document under
+``--json``, so deadlines (``--deadline``), admission control, and
+circuit breakers behave identically everywhere.  Model-level failures
+exit with structured codes — 3 deadline exceeded, 4 overloaded/breaker
+open, 5 synthesis timeout, 6 degraded cluster, 1 any other finding —
+and ``--json`` replaces the stderr message with the machine-readable
+error envelope.
 
 The JSON graph format is produced by
 :func:`repro.graph.serialize.dumps`; see ``examples/`` for builders.
@@ -57,12 +61,11 @@ import os
 import sys
 import time
 
+from .apps.common import FLOWS, resolve_target
 from .bench import experiments as _experiments
 from .bench.format import render_table
 from .bench.record import bench_json_dir, emit_bench_record
-from .cluster.cluster import make_cluster, paper_testbed
-from .cluster.topology import make_topology
-from .core.compiler import compile_design, vitis_config
+from .core.compiler import compile_design
 from .core.constraints import write_constraints
 from .devices.parts import get_part, known_parts
 from .errors import (
@@ -76,6 +79,7 @@ from .errors import (
 )
 from .graph import serialize
 from .perf.cache import configure_cache, get_cache, stats_report
+from .serve.server import KNOWN_APPS, build_app_graph, result_document
 from .sim.execution import SimulationConfig
 
 
@@ -134,27 +138,8 @@ def _fail(command: str, exc: Exception, as_json: bool = False) -> None:
 
 
 def _make_cluster(args) -> object:
-    if args.topology == "paper":
-        return paper_testbed(args.fpgas)
-    return make_cluster(
-        args.fpgas,
-        part=get_part(args.part),
-        topology=make_topology(args.topology, args.fpgas),
-    )
-
-
-def _resolve_target(args) -> tuple[object, object, str]:
-    """Resolve ``--flow``/``--fpgas``/``--part`` into (cluster, config, flow).
-
-    Mirrors :func:`repro.core.compiler.compile_single_vitis` /
-    ``compile_single_tapa`` for the single-FPGA baselines so routing
-    through the service produces the same designs as the direct calls.
-    """
-    if args.flow == "vitis":
-        return make_cluster(1, part=get_part(args.part)), vitis_config(), "vitis"
-    if args.flow == "tapa":
-        return make_cluster(1, part=get_part(args.part)), None, "tapa"
-    return _make_cluster(args), None, "tapa-cs"
+    """The ``--fpgas``/``--topology``/``--part`` cluster of a TAPA-CS compile."""
+    return resolve_target("tapa-cs", args.fpgas, args.topology, args.part)[0]
 
 
 def _emit_design(args, design, as_json: bool) -> None:
@@ -186,76 +171,42 @@ def _tenant_for(args) -> str:
 
 
 def _compile(args):
-    from .serve import service_compile
+    """``compile`` and ``simulate``: one request through the shared broker."""
+    from .serve import CompileRequest, get_service
 
+    kind = args.command
     graph = _load_graph(args.graph)
-    cluster, config, flow = _resolve_target(args)
+    cluster, config, flow = resolve_target(
+        args.flow, args.fpgas, args.topology, args.part
+    )
+    # One-shot CLI invocations are interactive-class and uncached
+    # (matching the historical `repro compile` behaviour); deadlines,
+    # admission control, and breakers come from the shared broker.
+    request = CompileRequest(
+        graph, cluster, config, flow=flow, kind=kind,
+        sim_config=(
+            SimulationConfig(chunks=args.chunks) if kind == "simulate" else None
+        ),
+        deadline_s=args.deadline,
+        priority="interactive",
+        use_cache=False,
+        tenant=_tenant_for(args),
+    )
     try:
-        # One-shot CLI invocations are interactive-class and uncached
-        # (matching the historical `repro compile` behaviour); deadlines,
-        # admission control, and breakers come from the shared broker.
-        design = service_compile(
-            graph,
-            cluster,
-            config,
-            flow=flow,
-            deadline_s=args.deadline,
-            priority="interactive",
-            use_cache=False,
-            tenant=_tenant_for(args),
-        )
+        value = get_service().execute(request)
     except TapaCSError as exc:
         # Model-level failures are findings, not crashes: a structured
         # message (or JSON envelope) and a typed exit code, no traceback.
-        _fail("compile", exc, args.json)
+        _fail(kind, exc, args.json)
+    design, result = value if kind == "simulate" else (value, None)
     _emit_design(args, design, args.json)
     if args.json:
-        print(json.dumps(
-            {
-                "design": serialize.design_summary(design),
-                "floorplan_tier": design.floorplan_tier,
-            },
-            indent=2,
-        ))
-    return design
-
-
-def _simulate(args):
-    from .serve import service_simulate
-
-    graph = _load_graph(args.graph)
-    cluster, config, flow = _resolve_target(args)
-    try:
-        design, result = service_simulate(
-            graph,
-            cluster,
-            config,
-            flow=flow,
-            sim_config=SimulationConfig(chunks=args.chunks),
-            deadline_s=args.deadline,
-            priority="interactive",
-            use_cache=False,
-            tenant=_tenant_for(args),
+        print(json.dumps(result_document(kind, value), indent=2))
+    elif result is not None:
+        print(
+            f"\nsimulated latency: {result.latency_ms:.4f} ms "
+            f"at {result.frequency_mhz:.0f} MHz"
         )
-    except TapaCSError as exc:
-        _fail("simulate", exc, args.json)
-    _emit_design(args, design, args.json)
-    if args.json:
-        print(json.dumps(
-            {
-                "design": serialize.design_summary(design),
-                "floorplan_tier": design.floorplan_tier,
-                "latency_ms": result.latency_ms,
-                "frequency_mhz": result.frequency_mhz,
-            },
-            indent=2,
-        ))
-        return
-    print(
-        f"\nsimulated latency: {result.latency_ms:.4f} ms "
-        f"at {result.frequency_mhz:.0f} MHz"
-    )
-    if result.link_busy_s:
         for name, busy in sorted(result.link_busy_s.items()):
             print(f"  {name}: busy {busy * 1e3:.3f} ms")
 
@@ -552,29 +503,6 @@ def _perf(args):
     print(stats_report())
 
 
-#: Bare lint targets that resolve to built-in benchmark app graphs.
-_LINT_APPS = ("stencil", "pagerank", "knn", "cnn")
-
-
-def _build_app_graph(name: str):
-    """A default-configuration graph for one benchmark app."""
-    if name == "stencil":
-        from .apps.stencil import StencilConfig, build_stencil
-
-        return build_stencil(StencilConfig())
-    if name == "pagerank":
-        from .apps.pagerank import PageRankConfig, build_pagerank
-
-        return build_pagerank(PageRankConfig(num_nodes=10_000, num_edges=100_000))
-    if name == "knn":
-        from .apps.knn import KNNConfig, build_knn
-
-        return build_knn(KNNConfig())
-    from .apps.cnn import CNNConfig, build_cnn
-
-    return build_cnn(CNNConfig())
-
-
 def _resolve_graph_targets(
     targets: list[str], prog: str = "lint"
 ) -> list[tuple[str, object]]:
@@ -598,11 +526,11 @@ def _resolve_graph_targets(
     resolved: list[tuple[str, object]] = []
     for target in targets:
         if target == "apps":
-            for app in _LINT_APPS:
-                resolved.append((f"app:{app}", _build_app_graph(app)))
+            for app in KNOWN_APPS:
+                resolved.append((f"app:{app}", build_app_graph(app)))
             continue
-        if target in _LINT_APPS:
-            resolved.append((f"app:{target}", _build_app_graph(target)))
+        if target in KNOWN_APPS:
+            resolved.append((f"app:{target}", build_app_graph(target)))
             continue
         path = pathlib.Path(target)
         if path.is_dir():
@@ -618,7 +546,7 @@ def _resolve_graph_targets(
             print(
                 f"{prog}: unknown target {target!r} (expected a graph JSON "
                 f"file, a directory, or one of: "
-                f"{', '.join(_LINT_APPS)}, apps)",
+                f"{', '.join(KNOWN_APPS)}, apps)",
                 file=sys.stderr,
             )
             raise SystemExit(2)
@@ -997,8 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", default="paper",
                        help="paper | chain | ring | bus | star | mesh | hypercube")
         p.add_argument("--part", default="u55c")
-        p.add_argument("--flow", default="tapa-cs",
-                       choices=["tapa-cs", "tapa", "vitis"])
+        p.add_argument("--flow", default="tapa-cs", choices=FLOWS)
         p.add_argument("--constraints-dir", default=None,
                        help="write per-device Tcl/cfg constraints here")
         p.add_argument("--summary-json", default=None,
@@ -1029,7 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_target_args(sim_parser)
     add_service_args(sim_parser)
     sim_parser.add_argument("--chunks", type=int, default=32)
-    sim_parser.set_defaults(handler=_simulate)
+    sim_parser.set_defaults(handler=_compile)
 
     faults_parser = sub.add_parser(
         "faults", help="compile + simulate under an injected fault scenario"

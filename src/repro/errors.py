@@ -8,9 +8,21 @@ paper's Figure 5.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class TapaCSError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Every subclass pickles as itself: it is rebuilt from its type,
+    ``args`` and attributes without calling its constructor, whose
+    signature may differ from ``args`` (a :class:`SynthesisTimeoutError`
+    takes a task name and a budget and formats its own message).  This
+    is how a fleet worker's error reaches the broker.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class GraphError(TapaCSError):

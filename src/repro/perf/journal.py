@@ -177,9 +177,9 @@ class AppendLog:
         except OSError:
             return 0
 
-    def append(self, line: bytes, sync: bool = True) -> None:
-        """Write one :func:`encode_line` line and flush it to the OS;
-        ``sync`` also fsyncs it.  Raises OSError."""
+    def append(self, lines: bytes, sync: bool = True) -> None:
+        """Write :func:`encode_line` lines in one write and flush them
+        to the OS; ``sync`` also fsyncs them.  Raises OSError."""
         if self._handle is None:
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             self._handle = open(self.path, "ab+")
@@ -189,7 +189,7 @@ class AppendLog:
                 self._handle.seek(-1, os.SEEK_END)
                 if self._handle.read(1) != b"\n":
                     self._handle.write(b"\n")
-        self._handle.write(line)
+        self._handle.write(lines)
         self._handle.flush()
         if sync:
             os.fsync(self._handle.fileno())

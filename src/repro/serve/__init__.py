@@ -6,8 +6,9 @@ Public surface:
   from :mod:`repro.deadline` (the class lives at the package root so the
   core pipeline can import it without depending on this layer);
 * :class:`CompileService`, :class:`CompileRequest`,
-  :class:`ServiceConfig` and the process-wide :func:`get_service` /
-  :func:`service_compile` / :func:`service_simulate` helpers;
+  :class:`ServiceConfig` and the process-wide :func:`get_service`: a
+  front end builds a :class:`CompileRequest` and calls
+  ``get_service().execute(request)``;
 * :class:`CircuitBreaker` / :class:`BreakerConfig`;
 * :class:`WorkerFleet` / :class:`FleetConfig` — the process-isolated
   worker fleet behind ``repro serve --fleet`` (supervised worker
@@ -35,8 +36,6 @@ from .broker import (
     configure_service,
     get_service,
     reset_service,
-    service_compile,
-    service_simulate,
 )
 from .brownout import BrownoutConfig, BrownoutController
 from .fleet import FleetConfig, WorkerFleet
@@ -70,6 +69,4 @@ __all__ = [
     "post_reload",
     "reset_service",
     "run_server",
-    "service_compile",
-    "service_simulate",
 ]

@@ -286,6 +286,7 @@ class _Pending:
         "request", "deadline", "event", "value", "error", "submitted_at",
         "fingerprint", "coalesce_key", "followers", "journal_id",
         "accepted", "idem_key", "idem_client", "follower_tenants",
+        "follower_keys",
     )
 
     def __init__(self, request: CompileRequest, deadline: Deadline | None):
@@ -318,6 +319,9 @@ class _Pending:
         #: admission token each if the leader dies with the fleet
         #: (their wait bought them nothing they can retry against).
         self.follower_tenants: list[str] = []
+        #: Client keys of followers that joined through single flight.
+        #: Each gets its own stored done record when the flight ends.
+        self.follower_keys: list[str] = []
 
     def result(self, timeout: float | None = None) -> Any:
         """Block for the outcome; re-raises the worker's exception."""
@@ -489,10 +493,12 @@ class CompileService:
     def _journal_finish(self, pending: _Pending) -> None:
         """Close one journaled entry as done/failed (outside the lock).
 
-        Runs *before* the completion event wakes the waiters and before
-        the client key leaves the in-flight table: once a client has
-        seen the result, a resubmission of its idempotency key must
-        already find the dedup record.
+        A result is stored under the entry's client key and, in a done
+        record of its own, under each client key that followed the
+        flight.  Runs *before* the completion event wakes the waiters
+        and before the client keys leave the in-flight table: once a
+        client has seen the result, a resubmission of its idempotency
+        key must already find the dedup record.
         """
         journal = self.journal
         if journal is None or pending.journal_id is None:
@@ -505,6 +511,7 @@ class CompileService:
                     pending.value,
                     idem=pending.idem_key if pending.idem_client else None,
                     fp=pending.coalesce_key,
+                    followers=pending.follower_keys,
                 )
             else:
                 journal.record_failed(
@@ -653,7 +660,10 @@ class CompileService:
 
         With the journal on, the handle is returned only after the
         request's accept record is fsync'd: acceptance is acknowledged
-        once it would survive a power loss.
+        once it would survive a power loss.  A client-keyed request that
+        joins another request's flight is the exception: nothing names
+        its key on disk until that flight ends, so after a crash a retry
+        under the key starts a fresh run.
 
         K identical concurrent requests coalesce into a single flight:
         one compile runs, and every duplicate submit returns the same
@@ -766,6 +776,12 @@ class CompileService:
                 if leader is not None and self._may_coalesce(leader, request):
                     leader.followers += 1
                     leader.follower_tenants.append(tenant)
+                    if client_key is not None:
+                        # The key rides the flight like the leader's
+                        # own: a retry under it joins, and it is retired
+                        # only once its done record is written.
+                        leader.follower_keys.append(client_key)
+                        self._idem_inflight[client_key] = leader
                     self.counters["coalesced"] += 1
                     return leader, False
             if len(self._queue) >= self.config.max_queue:
@@ -992,13 +1008,17 @@ class CompileService:
                             self.quotas.refund(follower_tenant)
                         self.counters["follower_refunds"] += len(refunds)
                 self._journal_finish(pending)
-                if pending.idem_client and pending.idem_key is not None:
-                    # A client key is retired only once its done record
-                    # is written: until then a retry joins this flight,
-                    # from then on it dedups against the journal — never
-                    # a second run in between.
+                # A client key is retired only once its done record is
+                # written: until then a retry joins this flight, from
+                # then on it dedups against the journal — never a second
+                # run in between.
+                keys = pending.follower_keys + (
+                    [pending.idem_key] if pending.idem_client else []
+                )
+                if keys:
                     with self._lock:
-                        self._idem_inflight.pop(pending.idem_key, None)
+                        for key in keys:
+                            self._idem_inflight.pop(key, None)
                 pending.event.set()
 
     def _run(self, pending: _Pending) -> Any:
@@ -1302,64 +1322,3 @@ def reset_service() -> None:
         if _GLOBAL_SERVICE is not None:
             _GLOBAL_SERVICE.shutdown(wait=False)
         _GLOBAL_SERVICE = None
-
-
-def service_compile(
-    graph,
-    cluster,
-    config=None,
-    flow: str = "tapa-cs",
-    faults=None,
-    deadline_s: float | None = None,
-    priority: str = "batch",
-    use_cache: bool = True,
-    tenant: str = DEFAULT_TENANT,
-):
-    """Route one compile through the process-wide service."""
-    return get_service().execute(
-        CompileRequest(
-            graph=graph,
-            cluster=cluster,
-            config=config,
-            flow=flow,
-            faults=faults,
-            kind="compile",
-            deadline_s=deadline_s,
-            priority=priority,
-            use_cache=use_cache,
-            tenant=tenant,
-        )
-    )
-
-
-def service_simulate(
-    graph,
-    cluster,
-    config=None,
-    flow: str = "tapa-cs",
-    faults=None,
-    sim_config=None,
-    deadline_s: float | None = None,
-    priority: str = "batch",
-    use_cache: bool = True,
-    tenant: str = DEFAULT_TENANT,
-):
-    """Route one compile+simulate through the process-wide service.
-
-    Returns ``(design, result)``.
-    """
-    return get_service().execute(
-        CompileRequest(
-            graph=graph,
-            cluster=cluster,
-            config=config,
-            flow=flow,
-            faults=faults,
-            kind="simulate",
-            sim_config=sim_config,
-            deadline_s=deadline_s,
-            priority=priority,
-            use_cache=use_cache,
-            tenant=tenant,
-        )
-    )

@@ -61,9 +61,11 @@ Each job crosses the pipe as a module-level function plus its payload,
 worker loop does the generic part once for every job: it drains the
 floorplan-ladder log the circuit breakers feed on and takes the
 cache-stats delta, and both travel back with the result or the error.
-Errors are re-raised in the submitting thread as their original
-exception types (see :func:`encode_error` / :func:`decode_error` —
-exceptions with non-trivial constructors cannot be pickled directly).
+A package error crosses as itself, type and attributes intact
+(:class:`~repro.errors.TapaCSError` pickles without calling its
+constructor), and is re-raised in the submitting thread; any other
+exception, or one that will not pickle, arrives as a
+:class:`~repro.errors.TapaCSError` naming its type and message.
 
 Chaos knobs (tests only): ``REPRO_CHAOS_FLEET_EXIT_SLOT`` makes one
 first-generation worker ``os._exit`` on its first job,
@@ -87,27 +89,10 @@ from typing import Any, Callable
 
 from ..deadline import Deadline, deadline_from_wire, deadline_to_wire
 from ..errors import (
-    CircuitOpenError,
-    CommunicationError,
     DeadlineExceededError,
-    DeadlockError,
-    DegradedClusterError,
-    DesignRuleError,
     DrainingError,
-    FloorplanError,
-    GraphError,
-    InfeasibleError,
-    InvalidRequestError,
     OverloadedError,
-    PipeliningError,
-    QuotaExceededError,
-    SimulationError,
-    SolverError,
-    SweepError,
-    SynthesisError,
-    SynthesisTimeoutError,
     TapaCSError,
-    WatchdogError,
     WorkerCrashError,
 )
 from ..perf.supervise import BackoffPolicy, RespawnGovernor
@@ -183,98 +168,6 @@ class FleetConfig:
 
 
 # ---------------------------------------------------------------------------
-# Error transport
-# ---------------------------------------------------------------------------
-
-#: Exception attributes worth carrying across the pipe.
-_ERROR_ATTRS = (
-    "retry_after_s", "stage", "total_s", "task_name", "timeout_s",
-    "backend", "failovers", "tenant",
-)
-
-
-def encode_error(exc: BaseException) -> dict[str, Any]:
-    """Flatten an exception into a pipe-safe document.
-
-    Exceptions are not pickled directly: several of this package's
-    error types have constructors whose signature differs from their
-    ``args`` (e.g. :class:`SynthesisTimeoutError`), which makes a
-    pickle round-trip raise ``TypeError`` instead of delivering the
-    error.  A plain dict of (type name, message, typed attributes)
-    always crosses.
-    """
-    document: dict[str, Any] = {
-        "type": type(exc).__name__,
-        "message": str(exc),
-    }
-    for attr in _ERROR_ATTRS:
-        value = getattr(exc, attr, None)
-        if value is not None:
-            document[attr] = value
-    faults = getattr(exc, "faults", None)
-    if faults:
-        document["faults"] = [str(f) for f in faults]
-    return document
-
-
-#: type name -> reconstructor.  Anything absent falls back to a bare
-#: TapaCSError carrying the original type name in its message.
-_RECONSTRUCTORS: dict[str, Any] = {
-    "DeadlineExceededError": lambda d: DeadlineExceededError(
-        d.get("stage", "fleet worker"), d.get("total_s")
-    ),
-    "SynthesisTimeoutError": lambda d: SynthesisTimeoutError(
-        d.get("task_name", "?"), d.get("timeout_s", 0.0)
-    ),
-    "DegradedClusterError": lambda d: DegradedClusterError(
-        d["message"], d.get("faults")
-    ),
-    "DesignRuleError": lambda d: DesignRuleError(d["message"]),
-    "OverloadedError": lambda d: OverloadedError(
-        d["message"], d.get("retry_after_s", 1.0)
-    ),
-    "DrainingError": lambda d: DrainingError(
-        d["message"], d.get("retry_after_s", 1.0)
-    ),
-    "WorkerCrashError": lambda d: WorkerCrashError(
-        d["message"], d.get("retry_after_s", 1.0), d.get("failovers", 0)
-    ),
-    "CircuitOpenError": lambda d: CircuitOpenError(
-        d.get("backend", "?"), d.get("retry_after_s", 1.0)
-    ),
-    "QuotaExceededError": lambda d: QuotaExceededError(
-        d["message"], d.get("retry_after_s", 1.0), d.get("tenant", "")
-    ),
-    "InvalidRequestError": lambda d: InvalidRequestError(d["message"]),
-}
-
-#: Message-only exception types reconstructed by name.
-for _klass in (
-    GraphError, SynthesisError, FloorplanError, InfeasibleError,
-    SolverError, CommunicationError, PipeliningError, SimulationError,
-    DeadlockError, WatchdogError, SweepError, TapaCSError,
-):
-    _RECONSTRUCTORS.setdefault(
-        _klass.__name__,
-        (lambda klass: lambda d: klass(d["message"]))(_klass),
-    )
-
-
-def decode_error(document: dict[str, Any]) -> TapaCSError:
-    """Rebuild the worker's exception (or the closest typed stand-in)."""
-    reconstruct = _RECONSTRUCTORS.get(document.get("type", ""))
-    if reconstruct is not None:
-        try:
-            return reconstruct(document)
-        except Exception:  # pragma: no cover - malformed document
-            pass
-    return TapaCSError(
-        f"fleet worker failed with {document.get('type', 'Exception')}: "
-        f"{document.get('message', '')}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Worker process body
 # ---------------------------------------------------------------------------
 
@@ -329,6 +222,13 @@ def _run_one_request(request: Any, remaining_s: float | None) -> Any:
     if deadline is not None and deadline.expired:
         raise DeadlineExceededError("fleet dispatch", deadline.total_s)
     return run_request(request, deadline)
+
+
+def _wrapped(exc: BaseException) -> TapaCSError:
+    """A worker error that cannot cross the pipe as itself: callers
+    catch :class:`TapaCSError`, and the parent may not rebuild a type
+    from outside the package."""
+    return TapaCSError(f"fleet worker failed with {type(exc).__name__}: {exc}")
 
 
 def _worker_main(
@@ -391,8 +291,10 @@ def _worker_main(
         before = cache_stats().as_dict()
         try:
             reply: tuple = ("ok", job_id, fn(payload, remaining_s))
+        except TapaCSError as exc:
+            reply = ("err", job_id, exc)
         except BaseException as exc:  # noqa: BLE001 - relayed over the pipe
-            reply = ("err", job_id, encode_error(exc))
+            reply = ("err", job_id, _wrapped(exc))
         entries = drain_ladder_log()
         after = cache_stats().as_dict()
         delta = {key: after[key] - before[key] for key in after}
@@ -400,15 +302,12 @@ def _worker_main(
         try:
             send(reply + (entries, delta))
         except Exception:
-            # The result itself would not pickle; the job is not lost —
+            # The result or error would not pickle; the job is not lost —
             # it becomes a typed failure, not a hang.
-            send((
-                "err", job_id,
-                {"type": "TapaCSError",
-                 "message": "job result is not picklable across "
-                            "the fleet pipe"},
-                entries, delta,
-            ))
+            error = _wrapped(reply[2]) if reply[0] == "err" else TapaCSError(
+                "job result is not picklable across the fleet pipe"
+            )
+            send(("err", job_id, error, entries, delta))
     conn.close()
 
 
@@ -819,7 +718,7 @@ class WorkerFleet:
         if kind == "ok":
             self._finish(job, value=payload, entries=entries)
         else:
-            self._finish(job, error=decode_error(payload), entries=entries)
+            self._finish(job, error=payload, entries=entries)
 
     # -- the caller-facing protocol ------------------------------------------
 
@@ -841,10 +740,10 @@ class WorkerFleet:
         :class:`DeadlineExceededError` and the workers running it are
         killed and replaced.
 
-        Returns ``(value, ladder_entries)``; re-raises the worker's
-        exception (decoded to its original type) on failure, with the
-        ladder evidence attached as ``exc.ladder_entries`` so the
-        broker's breakers see it.
+        Returns ``(value, ladder_entries)``.  On failure it re-raises a
+        package error as itself and any other exception as a wrapping
+        :class:`TapaCSError`, with the ladder evidence attached as
+        ``exc.ladder_entries`` so the broker's breakers see it.
         """
         # Looked up per call, never bound at import: pickle sends a
         # function by its module attribute, so it must be that object.

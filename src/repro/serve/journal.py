@@ -67,7 +67,7 @@ import itertools
 import os
 import threading
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from ..errors import JournalError
 from ..perf.journal import (
@@ -277,6 +277,9 @@ class ServeJournal:
 
     def _load(self) -> None:
         records = read_records(self.path, _FIELD_TYPES)
+        # One result stored under several keys (a flight's followers)
+        # is held once, as it was while serving.
+        blobs: dict[str, bytes] = {}
         for index, record in enumerate(records):
             if index == 0 and (
                 record.get("kind") != "header"
@@ -291,12 +294,16 @@ class ServeJournal:
                     pass
                 return
             if "payload" in record:
-                record["payload"] = decode_blob(record)
-                if record["payload"] is None:
+                payload = decode_blob(record)
+                if payload is None:
                     # Torn or corrupted: the record still opens or
                     # closes its entry, but stores nothing.
                     del record["payload"]
                     record.pop("sha256", None)
+                else:
+                    record["payload"] = blobs.setdefault(
+                        record["sha256"], payload
+                    )
             self._fold(record)
 
     def _fold(self, record: dict) -> None:
@@ -424,25 +431,26 @@ class ServeJournal:
             "created_unix": self._clock(),
         }
 
-    def _append(self, record: dict, sync: bool = True) -> None:
-        """Write one record to the OS (fsync'd with ``sync``) and fold it
-        under the same lock: the view never runs ahead of the file, and
-        a compaction never drops a record that is written.  The line is
-        encoded before the lock is taken."""
+    def _append(self, *records: dict, sync: bool = True) -> None:
+        """Write records to the OS in one write (fsync'd with ``sync``)
+        and fold them under the same lock: the view never runs ahead of
+        the file, and a compaction never drops a record that is written.
+        The lines are encoded before the lock is taken."""
         start = time.monotonic()
-        line = encode_line(record)
+        lines = b"".join(encode_line(record) for record in records)
         with self._lock:
             try:
                 if self._closed:
                     raise OSError("journal is closed")
-                self._log.append(line, sync)
+                self._log.append(lines, sync)
             except OSError as exc:
                 self.counters["append_failures"] += 1
                 raise JournalError(
                     f"cannot append to serve journal {self.path}: {exc}"
                 ) from exc
-            self._fold(record)
-            self.counters["appends"] += 1
+            for record in records:
+                self._fold(record)
+            self.counters["appends"] += len(records)
             self.counters["append_wall_s"] += time.monotonic() - start
 
     def record_accepted(
@@ -494,6 +502,7 @@ class ServeJournal:
         value: Any,
         idem: str | None = None,
         fp: str | None = None,
+        followers: Sequence[str] = (),
     ) -> bool:
         """Close an entry as completed; True when the result was stored.
 
@@ -506,6 +515,12 @@ class ServeJournal:
         entry's own accept append.  An unpicklable result still closes
         the entry (no replay, no duplicate compile) — it just cannot
         serve dedup hits.
+
+        ``followers`` are the client keys of requests that joined this
+        entry's flight.  Each gets a stored done record of its own under
+        a fresh entry id.  The result is pickled once and its bytes are
+        shared by every record; all of them go out in one write with one
+        fsync.
         """
         now = self._clock()
         created = now
@@ -517,10 +532,18 @@ class ServeJournal:
                 fp = fp if fp is not None else entry.fp
                 created = entry.created_unix
         record: dict = {"kind": "done", "id": entry_id, "completed_unix": now}
+        records = [record]
+        blob = encode_blob(value) if idem is not None or followers else None
         if idem is not None:
-            record.update(idem=idem, fp=fp, created_unix=created)
-            record.update(encode_blob(value) or {})
-        self._append(record, sync=idem is not None)
+            record.update(idem=idem, fp=fp, created_unix=created, **(blob or {}))
+        if blob is not None:
+            # Without a payload a follower's record could serve no retry.
+            records += [
+                {"kind": "done", "id": self.new_entry_id(), "idem": key,
+                 "fp": fp, "created_unix": now, "completed_unix": now, **blob}
+                for key in followers
+            ]
+        self._append(*records, sync=len(records) > 1 or idem is not None)
         return "payload" in record
 
     def record_failed(self, entry_id: str, error_type: str, error: str) -> None:

@@ -12,6 +12,12 @@ A thin JSON-over-HTTP skin on :class:`~repro.serve.broker.CompileService`:
   identity; defaults to the shared anonymous tenant), ``use_cache``, and
   ``simulate: true`` to run the performance simulator on the result.
 
+The CLI's ``compile``/``simulate`` are the same front door: both resolve
+their target with :func:`repro.apps.common.resolve_target` (so
+``"flow": "vitis"`` is the paper's one-FPGA F1-V baseline, exactly like
+``--flow vitis``), build apps with :func:`build_app_graph`, and print
+:func:`result_document`.
+
 Error mapping follows the structured-failure conventions of the CLI:
 
 * shed (:class:`~repro.errors.OverloadedError`, incl. open breakers and
@@ -49,7 +55,7 @@ from ..errors import (
 from .broker import CompileRequest, CompileService, get_service
 from .quota import DEFAULT_TENANT
 
-#: Built-in app names accepted in request bodies.
+#: Built-in app names accepted in request bodies and as CLI targets.
 KNOWN_APPS = ("stencil", "pagerank", "knn", "cnn")
 
 
@@ -76,6 +82,22 @@ def build_app_graph(name: str):
     )
 
 
+def result_document(kind: str, value) -> dict:
+    """A ``compile`` or ``simulate`` answer: the HTTP reply body and the
+    CLI's ``--json`` output."""
+    from ..graph import serialize
+
+    design = value[0] if kind == "simulate" else value
+    document = {
+        "design": serialize.design_summary(design),
+        "floorplan_tier": design.floorplan_tier,
+    }
+    if kind == "simulate":
+        document["latency_ms"] = value[1].latency_ms
+        document["frequency_mhz"] = value[1].frequency_mhz
+    return document
+
+
 def error_envelope(exc: BaseException) -> dict:
     """The structured-failure JSON body shared with the CLI's ``--json``."""
     envelope: dict = {"error": type(exc).__name__, "message": str(exc)}
@@ -91,9 +113,7 @@ def error_envelope(exc: BaseException) -> dict:
 
 
 def _request_from_body(body: dict) -> CompileRequest:
-    from ..cluster.cluster import make_cluster, paper_testbed
-    from ..cluster.topology import make_topology
-    from ..devices.parts import get_part
+    from ..apps.common import resolve_target
     from ..graph import serialize
     from ..sim.execution import SimulationConfig
 
@@ -103,15 +123,12 @@ def _request_from_body(body: dict) -> CompileRequest:
         graph = serialize.graph_from_dict(body["graph"])
     else:
         raise ValueError("request body needs 'app' or 'graph'")
-    fpgas = int(body.get("fpgas", 2))
-    topology = str(body.get("topology", "paper"))
-    part = get_part(str(body.get("part", "u55c")))
-    if topology == "paper":
-        cluster = paper_testbed(fpgas)
-    else:
-        cluster = make_cluster(
-            fpgas, part=part, topology=make_topology(topology, fpgas)
-        )
+    cluster, config, flow = resolve_target(
+        str(body.get("flow", "tapa-cs")),
+        int(body.get("fpgas", 2)),
+        str(body.get("topology", "paper")),
+        str(body.get("part", "u55c")),
+    )
     deadline_s = body.get("deadline_s")
     sim_config = None
     kind = "simulate" if body.get("simulate") else "compile"
@@ -121,7 +138,8 @@ def _request_from_body(body: dict) -> CompileRequest:
     return CompileRequest(
         graph=graph,
         cluster=cluster,
-        flow=str(body.get("flow", "tapa-cs")),
+        config=config,
+        flow=flow,
         kind=kind,
         sim_config=sim_config,
         deadline_s=float(deadline_s) if deadline_s is not None else None,
@@ -144,6 +162,22 @@ def _retry_after_header(retry_after_s: float) -> str:
     return str(max(1, math.ceil(retry_after_s)))
 
 
+#: HTTP status per error type, most specific first.
+_STATUSES: tuple[tuple[type, int], ...] = (
+    # Malformed at admission (unknown class, reused idempotency key):
+    # no Retry-After — resubmitting it unchanged can only fail the same way.
+    (InvalidRequestError, 400),
+    # Draining: this instance is going away; retry against a fresh one.
+    (DrainingError, 503),
+    # Shed: queue or class full, over quota, breaker open.
+    (OverloadedError, 429),
+    (DeadlineExceededError, 504),
+    # Findings (infeasible, degraded cluster, DRC): the input was
+    # understood, the answer is "no plan".
+    (TapaCSError, 422),
+)
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: CompileService  # set by make_server
 
@@ -160,6 +194,17 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(payload)
+
+    def _reply_error(self, exc: BaseException, status: int | None = None):
+        """The error envelope under its type's status (see ``_STATUSES``);
+        a 429 or 503 also carries ``Retry-After``."""
+        if status is None:
+            status = next(code for klass, code in _STATUSES
+                          if isinstance(exc, klass))
+        headers = None
+        if status in (429, 503):
+            headers = {"Retry-After": _retry_after_header(exc.retry_after_s)}
+        self._reply(status, error_envelope(exc), headers)
 
     def do_GET(self):  # noqa: N802 - stdlib casing
         if self.path in ("/healthz", "/health", "/status"):
@@ -181,58 +226,14 @@ class _Handler(BaseHTTPRequestHandler):
                 body.setdefault("simulate", True)
             request = _request_from_body(body)
         except (ValueError, KeyError, TypeError, TapaCSError) as exc:
-            self._reply(400, error_envelope(exc))
+            self._reply_error(exc, 400)
             return
         try:
             value = self.service.execute(request)
-        except InvalidRequestError as exc:
-            # Malformed at admission (unknown priority class, ...): the
-            # request itself is wrong, so no Retry-After — resubmitting
-            # it unchanged can only fail the same way.
-            self._reply(400, error_envelope(exc))
-            return
-        except DrainingError as exc:
-            # The instance is going away; retry against a fresh one.
-            self._reply(
-                503,
-                error_envelope(exc),
-                headers={"Retry-After": _retry_after_header(exc.retry_after_s)},
-            )
-            return
-        except OverloadedError as exc:
-            # CircuitOpenError and QuotaExceededError subclass
-            # OverloadedError: same remedy, same status.
-            self._reply(
-                429,
-                error_envelope(exc),
-                headers={"Retry-After": _retry_after_header(exc.retry_after_s)},
-            )
-            return
-        except DeadlineExceededError as exc:
-            self._reply(504, error_envelope(exc))
-            return
         except TapaCSError as exc:
-            # Findings (infeasible, degraded cluster, DRC) — the input
-            # was understood, the answer is "no plan".
-            self._reply(422, error_envelope(exc))
+            self._reply_error(exc)
             return
-        from ..graph import serialize
-
-        if request.kind == "simulate":
-            design, result = value
-            document = {
-                "design": serialize.design_summary(design),
-                "latency_ms": result.latency_ms,
-                "frequency_mhz": result.frequency_mhz,
-            }
-        else:
-            document = {"design": serialize.design_summary(value)}
-        document["floorplan_tier"] = getattr(
-            value[0] if isinstance(value, tuple) else value,
-            "floorplan_tier",
-            "full",
-        )
-        self._reply(200, document)
+        self._reply(200, result_document(request.kind, value))
 
     def _do_reload(self):
         """``POST /reload`` — zero-downtime rolling restart of the fleet.
@@ -244,19 +245,8 @@ class _Handler(BaseHTTPRequestHandler):
         """
         try:
             summary = self.service.rolling_restart()
-        except DrainingError as exc:
-            self._reply(
-                503,
-                error_envelope(exc),
-                headers={"Retry-After": _retry_after_header(exc.retry_after_s)},
-            )
-            return
         except OverloadedError as exc:
-            self._reply(
-                429,
-                error_envelope(exc),
-                headers={"Retry-After": _retry_after_header(exc.retry_after_s)},
-            )
+            self._reply_error(exc)
             return
         self._reply(200, summary)
 

@@ -24,6 +24,7 @@ ungated).  Exits 0 on success, 1 with a diagnostic on any failure.
 import json
 import os
 import pathlib
+import shutil
 import signal
 import socket
 import subprocess
@@ -137,8 +138,16 @@ def pick_victim(port, deadline_s=30.0) -> int | None:
 
 
 def main() -> int:
-    port = free_port()
     cache_dir = tempfile.mkdtemp(prefix="repro-fleet-smoke-cache-")
+    try:
+        return smoke(cache_dir)
+    finally:
+        # The server has exited by now, pass or fail.
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+
+def smoke(cache_dir: str) -> int:
+    port = free_port()
     env = dict(
         os.environ,
         PYTHONPATH=str(REPO / "src"),

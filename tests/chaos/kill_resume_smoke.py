@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -168,6 +169,7 @@ def main() -> int:
         print(f"resumed:   {merged}", file=sys.stderr)
         return 1
     print("OK: resumed table is identical to the uninterrupted run")
+    shutil.rmtree(base, ignore_errors=True)  # kept on failure, for a look
     return 0
 
 

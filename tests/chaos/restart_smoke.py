@@ -30,6 +30,7 @@ success, 1 with a diagnostic on any failure.
 import json
 import os
 import pathlib
+import shutil
 import signal
 import socket
 import statistics
@@ -134,9 +135,18 @@ def burst_body(index, key_prefix="burst"):
 
 
 def main() -> int:
-    port = free_port()
     journal_dir = tempfile.mkdtemp(prefix="repro-restart-smoke-journal-")
     cache_dir = tempfile.mkdtemp(prefix="repro-restart-smoke-cache-")
+    try:
+        return smoke(journal_dir, cache_dir)
+    finally:
+        # Both servers have exited by now, pass or fail.
+        shutil.rmtree(journal_dir, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+
+def smoke(journal_dir: str, cache_dir: str) -> int:
+    port = free_port()
     env = dict(
         os.environ,
         PYTHONPATH=str(REPO / "src"),

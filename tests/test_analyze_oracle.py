@@ -23,12 +23,12 @@ from repro.analyze import (
     cross_check_design,
     is_contention_free,
 )
-from repro.cli import _build_app_graph
 from repro.cluster import paper_testbed
 from repro.core.compiler import compile_design
 from repro.graph.channel import Channel
 from repro.graph.graph import TaskGraph
 from repro.graph.task import MMAPPort, PortDirection, Task, TaskWork
+from repro.serve.server import build_app_graph
 from repro.sim.execution import SimulationConfig
 
 APPS = ("stencil", "pagerank", "knn", "cnn")
@@ -90,7 +90,7 @@ def fuzz_graph(seed: int) -> TaskGraph:
 class TestPaperApps:
     @pytest.mark.parametrize("app", APPS)
     def test_bound_sound_tight_and_attributed(self, app):
-        design = compile_design(_build_app_graph(app), paper_testbed(2))
+        design = compile_design(build_app_graph(app), paper_testbed(2))
         config = SimulationConfig(chunks=8)
 
         out = cross_check_design(design, config)

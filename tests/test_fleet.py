@@ -18,8 +18,10 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     DegradedClusterError,
+    DesignRuleError,
     DrainingError,
     InfeasibleError,
+    JournalError,
     OverloadedError,
     SynthesisTimeoutError,
     TapaCSError,
@@ -27,12 +29,7 @@ from repro.errors import (
 )
 from repro.perf.supervise import BackoffPolicy, RespawnGovernor
 from repro.serve.broker import CompileRequest
-from repro.serve.fleet import (
-    FleetConfig,
-    WorkerFleet,
-    decode_error,
-    encode_error,
-)
+from repro.serve.fleet import FleetConfig, WorkerFleet
 
 from tests.conftest import build_diamond
 
@@ -108,6 +105,43 @@ class TestRespawnGovernor:
         assert governor.total_crashes == 2  # history survives for health()
 
 
+def _raise_job(exc, remaining_s):
+    """A fleet job that raises the exception it is sent."""
+    raise exc
+
+
+def _raise_local_job(message, remaining_s):
+    """A fleet job raising a package error whose type will not pickle."""
+
+    class SomeFutureError(TapaCSError):
+        pass
+
+    raise SomeFutureError(message)
+
+
+def _diagnostics() -> list:
+    from repro.check import DiagnosticReport
+
+    report = DiagnosticReport()
+    report.emit("G002", "graph:g", "channel 'c' names no task", fix="declare it")
+    report.emit("G103", "graph:g", "channel 'f' is never read")
+    return list(report)
+
+
+@pytest.fixture(scope="class")
+def raising_fleet():
+    fleet = _fast_fleet(workers=1)
+    yield fleet
+    fleet.shutdown()
+
+
+def _arrived(fleet, job, payload) -> TapaCSError:
+    """The error a fleet job raised, as the submitting thread sees it."""
+    with pytest.raises(TapaCSError) as caught:
+        fleet.run(payload, None, job)
+    return caught.value
+
+
 class TestErrorTransport:
     """Exceptions crossing the worker pipe keep their type and payload."""
 
@@ -123,36 +157,40 @@ class TestErrorTransport:
             CircuitOpenError("ilp", retry_after_s=4.0),
             InfeasibleError("does not fit on 2 FPGAs"),
             TapaCSError("generic finding"),
+            DesignRuleError("design: 1 design-rule error(s)", _diagnostics()),
+            JournalError("cannot append to the run journal"),
         ],
     )
-    def test_round_trip_preserves_type(self, exc):
-        decoded = decode_error(encode_error(exc))
+    def test_round_trip_preserves_type(self, raising_fleet, exc):
+        decoded = _arrived(raising_fleet, _raise_job, exc)
         assert type(decoded) is type(exc)
-        for attr in ("retry_after_s", "stage", "total_s", "task_name",
-                     "timeout_s", "backend", "failovers"):
-            assert getattr(decoded, attr, None) == getattr(exc, attr, None)
+        assert str(decoded) == str(exc)
+        assert decoded.args == exc.args
+        attrs = vars(decoded)
+        assert attrs.pop("ladder_entries") == []
+        assert attrs == vars(exc)
 
-    def test_round_trip_preserves_faults(self):
+    def test_round_trip_preserves_faults(self, raising_fleet):
         exc = DegradedClusterError("shrunk", ["link a-b down", "fpga2 slow"])
-        decoded = decode_error(encode_error(exc))
+        decoded = _arrived(raising_fleet, _raise_job, exc)
         assert decoded.faults == ["link a-b down", "fpga2 slow"]
 
-    def test_synthesis_timeout_names_the_task(self):
-        decoded = decode_error(encode_error(SynthesisTimeoutError("pe7", 0.5)))
+    def test_synthesis_timeout_names_the_task(self, raising_fleet):
+        exc = SynthesisTimeoutError("pe7", 0.5)
+        decoded = _arrived(raising_fleet, _raise_job, exc)
         assert decoded.task_name == "pe7"
         assert decoded.timeout_s == 0.5
         assert "pe7" in str(decoded)
 
-    def test_unknown_type_degrades_to_base_error(self):
-        decoded = decode_error({"type": "SomeFutureError", "message": "boom"})
+    def test_unknown_type_degrades_to_base_error(self, raising_fleet):
+        decoded = _arrived(raising_fleet, _raise_local_job, "boom")
         assert type(decoded) is TapaCSError
-        assert "SomeFutureError" in str(decoded)
-        assert "boom" in str(decoded)
+        assert str(decoded) == "fleet worker failed with SomeFutureError: boom"
 
-    def test_non_package_exception_degrades_to_base_error(self):
-        decoded = decode_error(encode_error(ValueError("worker bug")))
-        assert isinstance(decoded, TapaCSError)
-        assert "ValueError" in str(decoded)
+    def test_non_package_exception_degrades_to_base_error(self, raising_fleet):
+        decoded = _arrived(raising_fleet, _raise_job, ValueError("worker bug"))
+        assert type(decoded) is TapaCSError
+        assert str(decoded) == "fleet worker failed with ValueError: worker bug"
 
 
 class TestFleetConfig:

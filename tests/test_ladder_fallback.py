@@ -10,16 +10,16 @@ rule, with the achieved tier recorded on the design.
 import pytest
 
 from repro.check import check_design
-from repro.cli import _build_app_graph
 from repro.cluster import paper_testbed
 from repro.core.compiler import CompilerConfig, compile_design
+from repro.serve.server import build_app_graph
 
 APPS = ("stencil", "pagerank", "knn", "cnn")
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_greedy_fallback_is_drc_clean(app):
-    graph = _build_app_graph(app)
+    graph = build_app_graph(app)
     design = compile_design(
         graph,
         paper_testbed(2),
@@ -35,7 +35,7 @@ def test_greedy_fallback_is_drc_clean(app):
 def test_greedy_and_full_tiers_share_the_drc_contract():
     # Same design, both ends of the ladder: the greedy plan may be worse
     # (more cut streams, lower frequency) but never *invalid*.
-    graph = _build_app_graph("stencil")
+    graph = build_app_graph("stencil")
     cluster = paper_testbed(2)
     full = compile_design(graph, cluster, CompilerConfig())
     greedy = compile_design(

@@ -833,3 +833,92 @@ class TestJournalHealthSchema:
             assert doc["error"]
         finally:
             service.shutdown(wait=False)
+
+
+class TestOneFrontDoor:
+    """The HTTP body's target fields resolve exactly like the CLI's
+    ``--flow``/``--fpgas``/``--topology``/``--part``."""
+
+    @staticmethod
+    def _body(**fields):
+        from repro.serve.server import _request_from_body
+
+        return _request_from_body({"app": "stencil", **fields})
+
+    def test_vitis_flow_is_the_one_fpga_baseline(self):
+        request = self._body(flow="vitis", fpgas=2)
+        assert request.flow == "vitis"
+        assert request.cluster.num_devices == 1
+        assert request.config.enable_intra_floorplan is False
+
+    def test_tapa_flow_is_one_device_with_the_default_config(self):
+        request = self._body(flow="tapa", fpgas=2)
+        assert request.flow == "tapa"
+        assert request.cluster.num_devices == 1
+        assert request.config is None
+
+    @pytest.mark.parametrize("flow", ["tapa-cs", "tapa", "vitis"])
+    def test_body_and_flags_build_one_request(
+        self, flow, tmp_path, monkeypatch
+    ):
+        from repro.cli import main
+        from repro.graph.serialize import dumps
+        from repro.perf.fingerprint import fingerprint_compile
+
+        sent = []
+
+        def capture(service, request):
+            sent.append(request)
+            raise TapaCSError("captured")
+
+        monkeypatch.setattr(CompileService, "execute", capture)
+        body = self._body(flow=flow, fpgas=4, topology="ring")
+        path = tmp_path / "stencil.json"
+        path.write_text(dumps(body.graph))
+        with pytest.raises(SystemExit):
+            main(["compile", str(path), "--flow", flow, "--fpgas", "4",
+                  "--topology", "ring"])
+        [flags] = sent
+
+        def target_key(request):
+            return fingerprint_compile(
+                body.graph, request.cluster,
+                request.config or CompilerConfig(), request.flow,
+            )
+
+        assert (flags.flow, flags.kind) == (body.flow, body.kind)
+        assert target_key(flags) == target_key(body)
+
+    @pytest.mark.parametrize("label, flow, fpgas", [
+        ("F1-V", "vitis", 2), ("F1-T", "tapa", 2), ("F2", "tapa-cs", 2),
+    ])
+    def test_bench_labels_resolve_like_bodies(self, label, flow, fpgas):
+        """The bench's paper labels and the HTTP body share one
+        resolver: same cluster, same compiler config."""
+        from repro.apps.common import flow_target
+        from repro.perf.fingerprint import fingerprint_compile
+
+        body = self._body(flow=flow, fpgas=fpgas)
+        cluster, config, _ = flow_target(label)
+        assert fingerprint_compile(
+            body.graph, cluster, config, flow
+        ) == fingerprint_compile(
+            body.graph, body.cluster, body.config or CompilerConfig(), flow
+        )
+
+    def test_unknown_flow_is_a_400(self):
+        service = _service(workers=1, max_queue=8)
+        server, port = TestRetryHintRoundTrip._serve(service)
+        try:
+            status, headers, body = TestRetryHintRoundTrip._post(
+                port, {"app": "stencil", "flow": "vivado"}
+            )
+            assert status == 400
+            assert body["error"] == "InvalidRequestError"
+            assert "vivado" in body["message"]
+            assert "Retry-After" not in headers
+            assert service.counters["submitted"] == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown()

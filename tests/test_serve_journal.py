@@ -654,6 +654,53 @@ class TestBrokerIdempotency:
             release.set()
             service.shutdown(wait=False)
 
+    def test_a_key_that_follows_another_keys_flight_dedups_too(
+        self, tmp_path, fresh_cache, monkeypatch
+    ):
+        """Two fresh keys for one design coalesce into one compile; each
+        key then dedups, in this broker and in its successor."""
+        import repro.perf.cache as cache_module
+
+        release = threading.Event()
+        real = cache_module.cached_compile
+
+        def held_compile(*args, **kwargs):
+            release.wait(timeout=30.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "cached_compile", held_compile)
+        # A compile writes into its graph: a fresh graph per request.
+        service = _service(tmp_path / "journal")
+        try:
+            first = service.submit(_request(graph=build_diamond(), idempotency_key="k1"))
+            second = service.submit(_request(graph=build_diamond(), idempotency_key="k2"))
+            assert second is first
+            # While the flight runs, a retry under the follower's key
+            # joins it by key.
+            retry = service.submit(_request(graph=build_diamond(), idempotency_key="k2"))
+            assert retry is first
+            assert service.counters["idem_joined"] == 1
+            release.set()
+            design = first.result(timeout=30.0)
+            assert service.counters["completed"] == 1
+            for key in ("k1", "k2"):
+                again = service.execute(
+                    _request(graph=build_diamond(), idempotency_key=key)
+                )
+                assert again.name == design.name
+            assert service.counters["completed"] == 1
+            assert service.counters["dedup_hits"] == 2
+        finally:
+            release.set()
+            service.shutdown(wait=False)
+        successor = _service(tmp_path / "journal")
+        try:
+            successor.execute(_request(graph=build_diamond(), idempotency_key="k2"))
+            assert successor.counters["dedup_hits"] == 1
+            assert successor.counters["completed"] == 0
+        finally:
+            successor.shutdown(wait=False)
+
     def test_acknowledged_submit_is_on_disk_before_return(
         self, tmp_path, fresh_cache
     ):
@@ -740,6 +787,55 @@ class TestJournalCost:
             assert fsyncs["dispatched"] == 0
         finally:
             service.shutdown(wait=False)
+
+    def test_follower_keys_share_one_pickle_and_one_fsync(
+        self, tmp_path, fsyncs, monkeypatch
+    ):
+        """The keys that followed a flight each get a stored done
+        record, but the result is pickled once, held once (after a
+        reopen too), and the records cost one fsync between them."""
+        pickles = []
+        real_encode = journal_module.encode_blob
+
+        def counting_encode(value):
+            pickles.append(value)
+            return real_encode(value)
+
+        monkeypatch.setattr(journal_module, "encode_blob", counting_encode)
+        journal = ServeJournal(str(tmp_path), ttl_s=3600)
+        try:
+            journal.record_accepted(
+                "lead", {"req": 1}, idem="compile:x", derived=True,
+                fp="fp-x", tenant="t", cls="batch", deadline_s=None,
+                sync=False,
+            )
+            pickles.clear()
+            # A keyless leader stores nothing of its own.
+            assert not journal.record_done(
+                "lead", {"answer": 1}, followers=["k2", "k3"]
+            )
+            assert len(pickles) == 1
+            assert fsyncs["done"] == 1
+            for key in ("k2", "k3"):
+                assert journal.lookup(key) == (True, {"answer": 1}, "fp-x")
+            payloads = {
+                id(entry.record["payload"])
+                for entry in journal._entries.values()
+            }
+            assert len(payloads) == 1
+        finally:
+            journal.close()
+        reopened = ServeJournal(str(tmp_path), ttl_s=3600)
+        try:
+            assert reopened.lookup("k3") == (True, {"answer": 1}, "fp-x")
+            assert reopened.lookup("compile:x") == (False, None, None)
+            # A successor holds the shared result once too.
+            assert len({
+                id(entry.record["payload"])
+                for entry in reopened._entries.values()
+            }) == 1
+        finally:
+            reopened.close()
 
     def test_keyless_execute_reaches_the_os_without_a_result(
         self, tmp_path, fresh_cache, fsyncs
