@@ -791,7 +791,7 @@ def _serve(args):
     if config.fleet_workers > 0:
         mode = f"{config.fleet_workers} worker process(es)"
     else:
-        mode = f"{config.workers} worker thread(s)"
+        mode = f"{config.workers} execution slot(s)"
     print(
         f"repro serve: listening on http://{args.host}:{args.port} "
         f"({mode}, queue depth {config.max_queue})",
@@ -1133,7 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--port", type=int, default=8179)
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker threads (default: REPRO_SERVE_WORKERS or 2)",
+        help="requests that run at once, each on the thread that "
+             "asked for it (default: REPRO_SERVE_WORKERS or 2)",
     )
     serve_parser.add_argument(
         "--max-queue", type=int, default=None, metavar="N",
@@ -1142,9 +1143,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--fleet", type=int, default=None, metavar="N",
-        help="run N supervised worker *processes* instead of threads "
-             "(crash/wedge isolation, failover; default: REPRO_SERVE_FLEET "
-             "or 0 = threads)",
+        help="run requests on N supervised worker *processes* instead of "
+             "in-process (crash/wedge isolation, failover; default: "
+             "REPRO_SERVE_FLEET or 0 = in-process)",
     )
     serve_parser.add_argument(
         "--status", action="store_true",

@@ -11,7 +11,7 @@ left picks a cheaper algorithm (see :mod:`repro.core.ladder`) rather
 than starting work it cannot finish.
 
 The context is a :class:`contextvars.ContextVar`, so concurrent requests
-in one process (the compile service's worker threads) each see their own
+in one process (each on the thread that asked for it) each see their own
 deadline, and code with no deadline installed behaves exactly as before.
 """
 

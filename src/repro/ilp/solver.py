@@ -22,7 +22,7 @@ layers (the compiler's stage accounting) can report which backend actually
 produced each plan without threading extra return values through every
 floorplanning helper; see :func:`drain_solve_log`.  The log is
 thread-local because the compile service runs concurrent compiles on
-worker threads, each of which drains its own solves.
+the threads that asked for them, each of which drains its own solves.
 
 For chaos testing, ``REPRO_CHAOS_WEDGE_ILP_S=<seconds>`` makes every
 ``solve()`` call hold the caller for that long and then fail with

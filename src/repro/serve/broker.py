@@ -1,8 +1,13 @@
-"""The compile/simulate request broker (deadline-aware admission + workers).
+"""The compile/simulate request broker: deadline-aware admission.
 
 Every front end — the CLI, the bench harness, the long-running
 ``repro serve`` HTTP mode — routes compile and simulate work through one
-process-wide :class:`CompileService`:
+process-wide :class:`CompileService`.  A request runs on the thread
+that asks for it: :meth:`CompileService.execute` admits it, waits for
+one of the service's execution slots, and then runs it itself, so a
+request's whole life is on one thread.  The broker owns no worker
+threads; :meth:`~CompileService.submit` and journal replay, which have
+no waiting caller, start one thread per request.  The service adds:
 
 * **admission control**: a bounded queue plus per-class in-flight limits
   ("interactive" vs "batch").  A request that would exceed either is
@@ -100,7 +105,7 @@ def _env_float(name: str, default: float) -> float:
 class ServiceConfig:
     """Tuning knobs for the compile service."""
 
-    #: Worker threads executing requests.
+    #: Requests that run at once in thread mode (execution slots).
     workers: int = 2
     #: Admitted-but-not-started requests beyond which submits are shed.
     max_queue: int = 8
@@ -110,9 +115,9 @@ class ServiceConfig:
     )
     #: Shared breaker tuning for all three backends.
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    #: Worker *processes* behind the broker; 0 keeps the historical
-    #: in-thread execution.  With a fleet, a crashing or wedged compile
-    #: takes down one child process, not the service.
+    #: Worker *processes* behind the broker, one execution slot each; 0
+    #: runs requests in-process.  With a fleet, a crashing or wedged
+    #: compile takes down one child process, not the service.
     fleet_workers: int = 0
     #: Fleet tuning; None means :meth:`FleetConfig.from_env` with
     #: ``workers`` overridden by :attr:`fleet_workers`.
@@ -221,11 +226,11 @@ def run_request(
 ) -> Any:
     """Compile one request, then simulate it if it asks for that.
 
-    The one request body: broker threads call it in-process, fleet
-    workers through :func:`repro.serve.fleet._run_one_request`.  Returns
-    the design, or ``(design, result)`` for a ``simulate`` request.  A
-    request the broker sends with its fingerprint is looked up in the
-    cache under that key.
+    The one request body: the broker calls it on the requesting thread,
+    fleet workers through :func:`repro.serve.fleet._run_one_request`.
+    Returns the design, or ``(design, result)`` for a ``simulate``
+    request.  A request the broker sends with its fingerprint is looked
+    up in the cache under that key.
     """
     from ..core.compiler import CompilerConfig, compile_design
     from ..perf.cache import cached_compile, cached_simulate
@@ -285,7 +290,7 @@ class _Pending:
     __slots__ = (
         "request", "deadline", "event", "value", "error", "submitted_at",
         "fingerprint", "coalesce_key", "followers", "journal_id",
-        "accepted", "idem_key", "idem_client", "follower_tenants",
+        "granted", "idem_key", "idem_client", "follower_tenants",
         "follower_keys",
     )
 
@@ -307,10 +312,8 @@ class _Pending:
         self.followers = 0
         #: Journal entry id while journaled (None: non-durable).
         self.journal_id: str | None = None
-        #: Set once the accept append has run (None: no accept is owed).
-        #: A worker writes the dispatched record only after it, so an
-        #: entry's records keep lifecycle order in the WAL.
-        self.accepted: threading.Event | None = None
+        #: Set once the request holds an execution slot.
+        self.granted = threading.Event()
         #: The idempotency key this flight is registered under.
         self.idem_key: str | None = None
         #: True when ``idem_key`` came from the client (vs derived).
@@ -324,7 +327,7 @@ class _Pending:
         self.follower_keys: list[str] = []
 
     def result(self, timeout: float | None = None) -> Any:
-        """Block for the outcome; re-raises the worker's exception."""
+        """Block for the outcome; re-raises the request's exception."""
         if not self.event.wait(timeout):
             raise TimeoutError("request still in flight")
         if self.error is not None:
@@ -338,13 +341,11 @@ class CompileService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)
         self._queue = FairScheduler(
             classes=REQUEST_CLASSES,
             aging_threshold_s=self.config.aging_threshold_s,
         )
         self._admitted = {cls: 0 for cls in REQUEST_CLASSES}
-        self._workers: list[threading.Thread] = []
         self._brownout_ticker: threading.Thread | None = None
         self._shutdown = False
         self._draining = False
@@ -419,7 +420,7 @@ class CompileService:
         every incomplete entry is re-enqueued with its original tenant,
         class, and deadline budget — *bypassing* admission, because these
         requests were already admitted before the crash and their
-        acceptance was acknowledged.
+        acceptance was acknowledged — and runs on a thread of its own.
         """
         journal = self.journal
         assert journal is not None
@@ -447,9 +448,9 @@ class CompileService:
                 else None
             )
             tenant = entry.tenant or DEFAULT_TENANT
-            with self._work:
+            with self._lock:
                 self._admitted[cls] += 1
-                self._ensure_workers()
+                self._start_ticker()
                 # No fingerprint from the record: the predecessor computed
                 # it under its own model constants, so the cache computes
                 # this process's key for the replayed request.
@@ -468,8 +469,9 @@ class CompileService:
                     weight=self.quotas.weight_for(tenant),
                 )
                 self.counters["replayed"] += 1
-                self._work.notify()
+                self._grant()
             journal.counters["replayed_at_boot"] += 1
+            self._serve_in_thread(pending)
 
     def _note_journal_error(self, exc: Exception) -> None:
         self._journal_error = str(exc)
@@ -526,7 +528,7 @@ class CompileService:
     # -- admission -------------------------------------------------------------
 
     def _capacity(self) -> int:
-        """Concurrent execution slots (fleet processes or threads)."""
+        """Execution slots: requests that may run at once."""
         if self.fleet is not None:
             return max(1, self.config.fleet_workers)
         return max(1, self.config.workers)
@@ -599,7 +601,7 @@ class CompileService:
             ),
         )
         while True:
-            with self._work:
+            with self._lock:
                 if self._shutdown:
                     return
                 self._observe_pressure()
@@ -658,12 +660,13 @@ class CompileService:
     def submit(self, request: CompileRequest) -> _Pending:
         """Admit a request (or shed it) and hand back a waitable handle.
 
-        With the journal on, the handle is returned only after the
-        request's accept record is fsync'd: acceptance is acknowledged
-        once it would survive a power loss.  A client-keyed request that
-        joins another request's flight is the exception: nothing names
-        its key on disk until that flight ends, so after a crash a retry
-        under the key starts a fresh run.
+        The request runs on a thread of its own.  With the journal on,
+        the handle is returned only after the request's accept record is
+        fsync'd: acceptance is acknowledged once it would survive a power
+        loss.  A client-keyed request that joins another request's
+        flight is the exception: nothing names its key on disk until
+        that flight ends, so after a crash a retry under the key starts
+        a fresh run.
 
         K identical concurrent requests coalesce into a single flight:
         one compile runs, and every duplicate submit returns the same
@@ -681,20 +684,30 @@ class CompileService:
             DrainingError: when the service is draining (SIGTERM);
                 admitted work finishes but nothing new is accepted.
         """
-        return self._submit(request, sync_accept=True)
+        pending, queued = self._submit(request, sync_accept=True)
+        if queued:
+            self._serve_in_thread(pending)
+        return pending
 
     def execute(self, request: CompileRequest) -> Any:
-        """Submit and wait: the synchronous front-end entry point.
+        """Admit, then run on this thread: the synchronous entry point.
 
-        The accept record is written but not fsync'd: this caller hears
-        nothing before the result, so there is no acknowledgement to make
-        durable.  A ``kill -9`` loses nothing (the record is in the OS
-        already), and a client-keyed request's fsync'd done record makes
-        the accept before it durable too.
+        Once admitted, the request waits for an execution slot and runs
+        on the calling thread; a coalesced duplicate or a dedup hit just
+        waits for the result.  The accept record is written but not
+        fsync'd: this caller hears nothing before the result, so there is
+        no acknowledgement to make durable.  A ``kill -9`` loses nothing
+        (the record is in the OS already), and a client-keyed request's
+        fsync'd done record makes the accept before it durable too.
         """
-        return self._submit(request, sync_accept=False).result()
+        pending, queued = self._submit(request, sync_accept=False)
+        if queued:
+            self._serve(pending)
+        return pending.result()
 
-    def _submit(self, request: CompileRequest, sync_accept: bool) -> _Pending:
+    def _submit(
+        self, request: CompileRequest, sync_accept: bool
+    ) -> tuple[_Pending, bool]:
         cls = request.priority
         tenant = request.tenant or DEFAULT_TENANT
         # Fingerprinting is CPU work: do it outside the lock.
@@ -716,16 +729,11 @@ class CompileService:
             self._journal_checkpoint()
             raise
         if queued:
-            try:
-                self._journal_accept(
-                    pending, request, key, client_key, cls, sync_accept
-                )
-            finally:
-                # Even if the append raised: a worker may be waiting.
-                if pending.accepted is not None:
-                    pending.accepted.set()
+            self._journal_accept(
+                pending, request, key, client_key, cls, sync_accept
+            )
             self._journal_checkpoint()
-        return pending
+        return pending, queued
 
     def _admit(
         self,
@@ -738,7 +746,7 @@ class CompileService:
         deadline: Deadline | None,
     ) -> tuple[_Pending, bool]:
         """The locked admission decision: ``(handle, newly queued?)``."""
-        with self._work:
+        with self._lock:
             self.counters["submitted"] += 1
             if cls not in self._admitted:
                 self.counters["rejected_priority"] += 1
@@ -803,7 +811,7 @@ class CompileService:
                     retry_after_s=self._retry_after_estimate(cls),
                 )
             self._admitted[cls] += 1
-            self._ensure_workers()
+            self._start_ticker()
             pending = _Pending(request, deadline)
             pending.fingerprint = fingerprint
             if key is not None:
@@ -814,15 +822,14 @@ class CompileService:
             if client_key is not None:
                 self._idem_inflight[client_key] = pending
             if self.journal is not None:
-                # The id is minted under the lock so the worker always
-                # sees it; the append happens after release.
+                # The id is minted under the lock; the append happens
+                # after release.
                 pending.journal_id = self.journal.new_entry_id()
-                pending.accepted = threading.Event()
             self._queue.push(
                 pending, cls, tenant, weight=self.quotas.weight_for(tenant)
             )
             self._observe_pressure()
-            self._work.notify()
+            self._grant()
             return pending, True
 
     def _resolve_idempotent(
@@ -885,8 +892,9 @@ class CompileService:
         pickle (synthetic test graphs, say) simply stays non-durable; a
         journal write failure (disk full) is remembered and surfaced in
         health, but the already-queued request still runs — availability
-        over durability.  A worker that picked the request up meanwhile
-        waits for this append before journaling its dispatch.
+        over durability.  The thread that runs the request writes its
+        dispatched record after this append has returned, so an entry's
+        records keep lifecycle order in the WAL.
         """
         journal = self.journal
         if journal is None or pending.journal_id is None:
@@ -909,26 +917,11 @@ class CompileService:
         if not durable:
             pending.journal_id = None
 
-    # -- workers ---------------------------------------------------------------
+    # -- execution -------------------------------------------------------------
 
-    def _ensure_workers(self) -> None:
-        # Called with the lock held.  Threads spawn lazily so importing
-        # the module (or an idle service) costs nothing.  Dead entries
-        # are pruned first: a forked child inherits the Thread objects
-        # but not the OS threads behind them (fork clones only the
-        # calling thread), and without pruning a full-looking roster
-        # would queue work nobody will ever pop.
-        # In fleet mode one dispatch thread per worker process keeps the
-        # whole fleet saturatable; the threads only block on pipes.
-        self._workers = [t for t in self._workers if t.is_alive()]
-        while len(self._workers) < self._capacity():
-            thread = threading.Thread(
-                target=self._worker_loop,
-                name=f"repro-serve-{len(self._workers)}",
-                daemon=True,
-            )
-            self._workers.append(thread)
-            thread.start()
+    def _start_ticker(self) -> None:
+        # Called with the lock held.  The ticker starts lazily, so
+        # importing the module (or an idle service) costs nothing.
         if self.config.brownout.enabled and (
             self._brownout_ticker is None
             or not self._brownout_ticker.is_alive()
@@ -940,86 +933,102 @@ class CompileService:
             )
             self._brownout_ticker.start()
 
-    def _worker_loop(self) -> None:
-        while True:
-            with self._work:
-                while not self._queue and not self._shutdown:
-                    self._work.wait()
-                if self._shutdown and not self._queue:
-                    return
-                pending = self._queue.pop()
-                if pending is None:  # pragma: no cover - defensive
-                    continue
-            if pending.accepted is not None:
-                pending.accepted.wait()
+    def _grant(self) -> None:
+        """Give free execution slots to the next queued requests.
+
+        Called with the lock held, on admission and on completion.  A
+        request holds its slot from grant to completion, so the slots in
+        use are the admitted requests less the queued ones.
+        """
+        while self._queue and (
+            sum(self._admitted.values()) - len(self._queue)
+            < self._capacity()
+        ):
+            self._queue.pop().granted.set()
+
+    def _serve_in_thread(self, pending: _Pending) -> None:
+        """Run an admitted request that no caller waits to run."""
+        threading.Thread(
+            target=self._serve, args=(pending,),
+            name="repro-serve-request", daemon=True,
+        ).start()
+
+    def _serve(self, pending: _Pending) -> None:
+        """Run one admitted request on this thread once it holds a slot."""
+        try:
+            pending.granted.wait()
+        except BaseException:
+            # Interrupted while queued: the request stays admitted and
+            # coalesced callers may wait for it, so it runs elsewhere.
+            self._serve_in_thread(pending)
+            raise
+        cls = (
+            pending.request.priority
+            if pending.request.priority in self._admitted
+            else "batch"
+        )
+        start = time.monotonic()
+        missed = False
+        try:
             if self.journal is not None and pending.journal_id is not None:
                 try:
                     self.journal.record_dispatched(pending.journal_id)
                 except JournalError as exc:
                     self._note_journal_error(exc)
-            cls = (
-                pending.request.priority
-                if pending.request.priority in self._admitted
-                else "batch"
-            )
-            start = time.monotonic()
-            missed = False
-            try:
-                pending.value = self._run(pending)
-                with self._lock:
-                    self.counters["completed"] += 1
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                pending.error = exc
-                with self._lock:
-                    self.counters["failed"] += 1
-                    if isinstance(exc, DeadlineExceededError):
-                        self.counters["deadline_misses"] += 1
-                        missed = True
-            finally:
-                elapsed = time.monotonic() - start
-                with self._work:
-                    self._ewma_service_s = (
-                        0.8 * self._ewma_service_s + 0.2 * elapsed
-                    )
-                    self._miss_ewma = (
-                        0.7 * self._miss_ewma + (0.3 if missed else 0.0)
-                    )
-                    self._observe_pressure()
-                    self._admitted[cls] = max(0, self._admitted[cls] - 1)
-                    if pending.coalesce_key is not None:
-                        # Retire the single flight *before* waking the
-                        # waiters: a duplicate arriving from here on
-                        # starts a fresh compile (cheap — the artifact
-                        # is cached now) instead of attaching to a
-                        # completed handle.
-                        self._singleflight.pop(pending.coalesce_key, None)
-                    if (
-                        isinstance(pending.error, WorkerCrashError)
-                        and pending.follower_tenants
-                    ):
-                        # The leader died with the fleet: every follower
-                        # waited for nothing it can point at.  Refund one
-                        # admission token each — exactly once (the list
-                        # is swapped out so a second pass finds nothing).
-                        refunds, pending.follower_tenants = (
-                            pending.follower_tenants, [],
-                        )
-                        for follower_tenant in refunds:
-                            self.quotas.refund(follower_tenant)
-                        self.counters["follower_refunds"] += len(refunds)
-                self._journal_finish(pending)
-                # A client key is retired only once its done record is
-                # written: until then a retry joins this flight, from
-                # then on it dedups against the journal — never a second
-                # run in between.
-                keys = pending.follower_keys + (
-                    [pending.idem_key] if pending.idem_client else []
+            pending.value = self._run(pending)
+            with self._lock:
+                self.counters["completed"] += 1
+        except BaseException as exc:  # noqa: BLE001 - relayed to caller
+            pending.error = exc
+            with self._lock:
+                self.counters["failed"] += 1
+                if isinstance(exc, DeadlineExceededError):
+                    self.counters["deadline_misses"] += 1
+                    missed = True
+        finally:
+            elapsed = time.monotonic() - start
+            with self._lock:
+                self._ewma_service_s = (
+                    0.8 * self._ewma_service_s + 0.2 * elapsed
                 )
-                if keys:
-                    with self._lock:
-                        for key in keys:
-                            self._idem_inflight.pop(key, None)
-                pending.event.set()
+                self._miss_ewma = (
+                    0.7 * self._miss_ewma + (0.3 if missed else 0.0)
+                )
+                self._observe_pressure()
+                self._admitted[cls] = max(0, self._admitted[cls] - 1)
+                self._grant()
+                if pending.coalesce_key is not None:
+                    # Retire the single flight *before* waking the
+                    # waiters: a duplicate arriving from here on starts a
+                    # fresh compile (cheap — the artifact is cached now)
+                    # instead of attaching to a completed handle.
+                    self._singleflight.pop(pending.coalesce_key, None)
+                if (
+                    isinstance(pending.error, WorkerCrashError)
+                    and pending.follower_tenants
+                ):
+                    # The leader died with the fleet: every follower
+                    # waited for nothing it can point at.  Refund one
+                    # admission token each — exactly once (the list is
+                    # swapped out so a second pass finds nothing).
+                    refunds, pending.follower_tenants = (
+                        pending.follower_tenants, [],
+                    )
+                    for follower_tenant in refunds:
+                        self.quotas.refund(follower_tenant)
+                    self.counters["follower_refunds"] += len(refunds)
+            self._journal_finish(pending)
+            # A client key is retired only once its done record is
+            # written: until then a retry joins this flight, from then on
+            # it dedups against the journal — never a second run between.
+            keys = pending.follower_keys + (
+                [pending.idem_key] if pending.idem_client else []
+            )
+            if keys:
+                with self._lock:
+                    for key in keys:
+                        self._idem_inflight.pop(key, None)
+            pending.event.set()
 
     def _run(self, pending: _Pending) -> Any:
         from ..core.compiler import CompilerConfig
@@ -1235,18 +1244,10 @@ class CompileService:
         everything admitted finished inside the timeout and (in fleet
         mode) every worker process was reaped.
         """
-        with self._work:
-            self._draining = True
-            self._work.notify_all()
-        limit = time.monotonic() + timeout_s
-        while time.monotonic() < limit:
-            with self._lock:
-                idle = not self._queue and not any(self._admitted.values())
-            if idle:
-                break
-            time.sleep(0.05)
         with self._lock:
-            clean = not self._queue and not any(self._admitted.values())
+            self._draining = True
+        limit = time.monotonic() + timeout_s
+        clean = self._wait_idle(timeout_s)
         if self.fleet is not None:
             clean = self.fleet.drain(
                 timeout_s=max(0.5, limit - time.monotonic())
@@ -1254,18 +1255,27 @@ class CompileService:
         self.shutdown(wait=True)
         return clean
 
+    def _wait_idle(self, timeout_s: float) -> bool:
+        """Wait until nothing is queued or running; False on timeout."""
+        limit = time.monotonic() + timeout_s
+        while True:
+            with self._lock:
+                if not self._queue and not any(self._admitted.values()):
+                    return True
+            if time.monotonic() >= limit:
+                return False
+            time.sleep(0.05)
+
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work; optionally join the worker threads."""
+        """Stop accepting work; optionally wait for running requests."""
         if self.journal is not None:
             self._journal_checkpoint(force=True)
-        with self._work:
+        with self._lock:
             self._shutdown = True
-            self._work.notify_all()
         if self.fleet is not None:
             self.fleet.shutdown(timeout_s=5.0 if wait else 2.0)
         if wait:
-            for thread in self._workers:
-                thread.join(timeout=5.0)
+            self._wait_idle(5.0)
         if self.journal is not None:
             # Release the flock so a successor on the same directory can
             # take over; in-flight completions after this point lose
@@ -1284,9 +1294,10 @@ _GLOBAL_LOCK = threading.Lock()
 def _after_fork_in_child() -> None:
     # Fleet workers (serving and parallel sweeps alike) are forked
     # processes, and a fork can land while the parent's service holds
-    # in-flight bookkeeping that is meaningless without its worker
-    # threads.  Drop the inherited service and its lock wholesale; the
-    # child builds a fresh one from the environment on first use.
+    # in-flight bookkeeping (or its lock) for requests whose threads the
+    # child does not have.  Drop the inherited service and its lock
+    # wholesale; the child builds a fresh one from the environment on
+    # first use.
     global _GLOBAL_SERVICE, _GLOBAL_LOCK
     _GLOBAL_LOCK = threading.Lock()
     _GLOBAL_SERVICE = None

@@ -1,17 +1,19 @@
 """Process-isolated workers: supervision, failover, hedging.
 
-The in-process broker (:mod:`repro.serve.broker`) runs requests on
-worker *threads*; one segfaulting native solver, one OOM kill, or one
-wedged extension call takes the whole service down with it.  This
-module provides the fleet tier: N forked **worker processes**, each a
-fully isolated compile engine, supervised by a monitor thread in the
-parent process.  It is the codebase's one process supervisor: the
-broker sends compile requests to it, and ``run_sweep``
-(:mod:`repro.perf.sweep`) runs its parallel sweep points on it.
+The in-process broker (:mod:`repro.serve.broker`) runs each request on
+the thread that asked for it; one segfaulting native solver, one OOM
+kill, or one wedged extension call takes the whole service down with
+it.  This module provides the fleet tier: N forked **worker
+processes**, each a fully isolated compile engine, supervised by a
+monitor thread in the parent process.  It is the codebase's one
+process supervisor: the broker sends compile requests to it, and
+``run_sweep`` (:mod:`repro.perf.sweep`) runs its parallel sweep points
+on it.
 
 A job goes to an idle worker the moment it arrives, on the caller's
-thread; with every worker busy it queues, and the monitor hands it to
-the first worker whose answer it reads.  The monitor's periodic tick
+thread (for the broker, the thread that asked for the request); with
+every worker busy it queues, and the monitor hands it to the first
+worker whose answer it reads.  The monitor's periodic tick
 (``_POLL_S``) is for supervision only.
 
 Supervision contract:
@@ -66,12 +68,6 @@ A package error crosses as itself, type and attributes intact
 constructor), and is re-raised in the submitting thread; any other
 exception, or one that will not pickle, arrives as a
 :class:`~repro.errors.TapaCSError` naming its type and message.
-
-Chaos knobs (tests only): ``REPRO_CHAOS_FLEET_EXIT_SLOT`` makes one
-first-generation worker ``os._exit`` on its first job,
-``REPRO_CHAOS_FLEET_WEDGE_S``/``_WEDGE_SLOT`` makes one stop
-heartbeating and sleep, ``REPRO_CHAOS_FLEET_SLOW_S``/``_SLOW_SLOT``
-makes one slow (heartbeats intact) so hedging has a straggler to beat.
 """
 
 from __future__ import annotations
@@ -172,47 +168,12 @@ class FleetConfig:
 # ---------------------------------------------------------------------------
 
 
-def _chaos_int(name: str, default: int = -1) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
-def _chaos_float(name: str) -> float:
-    try:
-        return float(os.environ.get(name, "") or 0.0)
-    except ValueError:
-        return 0.0
-
-
-def _apply_chaos(slot: int, generation: int, jobs_seen: int, state: dict) -> None:
-    """Test-only failure injection, inert unless REPRO_CHAOS_FLEET_* set."""
-    if jobs_seen == 1 and _chaos_int("REPRO_CHAOS_FLEET_EXIT_ALWAYS") == 1:
-        # Every worker (every generation) dies on its first job: the
-        # "this request crashes whatever runs it" scenario that must
-        # exhaust failovers into WorkerCrashError, not loop forever.
-        os._exit(13)
-    if generation == 0 and jobs_seen == 1:
-        if _chaos_int("REPRO_CHAOS_FLEET_EXIT_SLOT") == slot:
-            os._exit(13)  # simulated preemption: no goodbye, no cleanup
-        wedge_s = _chaos_float("REPRO_CHAOS_FLEET_WEDGE_S")
-        if wedge_s > 0 and _chaos_int("REPRO_CHAOS_FLEET_WEDGE_SLOT", 0) == slot:
-            # A "wedged" worker: the event loop stops heartbeating, as if
-            # stuck in native code.  The liveness watchdog must kill us.
-            state["wedged"] = True
-            time.sleep(wedge_s)
-            state["wedged"] = False
-    slow_s = _chaos_float("REPRO_CHAOS_FLEET_SLOW_S")
-    if slow_s > 0 and _chaos_int("REPRO_CHAOS_FLEET_SLOW_SLOT", 0) == slot:
-        time.sleep(slow_s)  # a straggler: alive and beating, just slow
-
-
 def _run_one_request(request: Any, remaining_s: float | None) -> Any:
     """The broker's fleet job: one compile request in this worker.
 
     The request runs under the deadline that crossed the pipe, through
-    the same body as a broker thread (:func:`~repro.serve.broker.run_request`).
+    the same body as an in-process request
+    (:func:`~repro.serve.broker.run_request`).
     The broker sends it together with the fingerprint it computed at
     admission; a bare request works too, and computes its own.
     """
@@ -231,9 +192,7 @@ def _wrapped(exc: BaseException) -> TapaCSError:
     return TapaCSError(f"fleet worker failed with {type(exc).__name__}: {exc}")
 
 
-def _worker_main(
-    conn, slot: int, generation: int, heartbeat_s: float, cache_entries: int
-) -> None:
+def _worker_main(conn, heartbeat_s: float, cache_entries: int) -> None:
     """The body of one fleet worker process."""
     # The at-fork hooks already gave this child a fresh service/cache;
     # bound the memory tier so N workers hold N small LRUs over the one
@@ -248,7 +207,7 @@ def _worker_main(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
 
-    state: dict = {"job": None, "wedged": False}
+    state: dict = {"job": None}
     send_lock = threading.Lock()
     parent_pid = os.getppid()
 
@@ -263,8 +222,6 @@ def _worker_main(
     def beat() -> None:
         while True:
             time.sleep(heartbeat_s)
-            if state["wedged"]:
-                continue
             if os.getppid() != parent_pid:
                 os._exit(0)  # orphaned: the parent process died
             send(("hb", os.getpid(), state["job"]))
@@ -272,7 +229,6 @@ def _worker_main(
     threading.Thread(target=beat, name="fleet-heartbeat", daemon=True).start()
     send(("ready", os.getpid()))
 
-    jobs_seen = 0
     while True:
         try:
             message = conn.recv()
@@ -281,9 +237,7 @@ def _worker_main(
         if not message or message[0] == "stop":
             break
         _, job_id, fn, payload, remaining_s = message
-        jobs_seen += 1
         state["job"] = job_id
-        _apply_chaos(slot, generation, jobs_seen, state)
         # The ladder entries and stats delta are captured on *both*
         # paths: a failed job still carries the solver evidence the
         # parent's breakers eat.
@@ -432,8 +386,8 @@ class WorkerFleet:
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                child_conn, slot, generation,
-                self.config.heartbeat_s, self.config.worker_cache_entries,
+                child_conn, self.config.heartbeat_s,
+                self.config.worker_cache_entries,
             ),
             name=f"repro-fleet-{slot}",
             daemon=True,

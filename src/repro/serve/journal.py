@@ -12,7 +12,7 @@ the append-only log of :mod:`repro.perf.journal`:
   budget, and an **idempotency key** (client supplied, or derived from
   the request's content fingerprint);
 * the entry then moves through its lifecycle with follow-up records:
-  ``dispatched`` when a worker picks it up, then exactly one of
+  ``dispatched`` when it gets an execution slot, then exactly one of
   ``done``, ``failed`` (with the typed error name), or ``shed``
   (terminated without execution);
 * on boot the broker **replays** the journal: entries with no terminal
@@ -184,7 +184,7 @@ class ServeJournal:
     """The broker's write-ahead log plus its in-memory replay/dedup view.
 
     Appends are serialized by an internal lock (the broker writes from
-    its submit path and from every worker thread); each record is
+    every thread that runs a request); each record is
     flushed before the append returns and fsync'd when it backs a
     promise (see the module docstring).  Memory holds the incomplete
     entries and the client-keyed results still inside the dedup TTL,

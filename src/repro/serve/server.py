@@ -34,7 +34,8 @@ Error mapping follows the structured-failure conventions of the CLI:
 * malformed request → **400**.
 
 Every error body is the same JSON envelope the CLI's ``--json`` mode
-prints: ``{"error": <type>, "message": ..., ...details}``.
+prints: ``{"error": <type>, "message": ..., ...details}``; a DRC
+rejection's details include its structured ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from urllib.request import urlopen
 
 from ..errors import (
     DeadlineExceededError,
+    DesignRuleError,
     DrainingError,
     InvalidRequestError,
     OverloadedError,
@@ -109,6 +111,8 @@ def error_envelope(exc: BaseException) -> dict:
     faults = getattr(exc, "faults", None)
     if faults:
         envelope["faults"] = list(faults)
+    if isinstance(exc, DesignRuleError) and exc.diagnostics:
+        envelope["diagnostics"] = [d.as_dict() for d in exc.diagnostics]
     return envelope
 
 

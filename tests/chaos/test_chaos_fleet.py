@@ -8,9 +8,10 @@ drain finishes everything admitted before the workers stop.  Each test
 here injects exactly one of those faults mid-burst and asserts the
 promise end to end.
 
-Chaos knobs (``REPRO_CHAOS_FLEET_*``) are read by the *worker*
-processes; they are inert unless set, and the fleet under test is
-always torn down — crashed or not — so no child outlives the suite.
+Faults that need a worker's cooperation (a wedge, a straggler) are job
+functions in :mod:`tests.chaos.workers`, passed to ``WorkerFleet.run``;
+the fleet under test is always torn down — crashed or not — so no child
+outlives the suite.
 """
 
 import os
@@ -25,6 +26,7 @@ from repro.perf.supervise import BackoffPolicy
 from repro.serve.broker import CompileRequest, CompileService, ServiceConfig
 from repro.serve.fleet import FleetConfig, WorkerFleet
 
+from tests.chaos import workers as chaos_workers
 from tests.conftest import build_diamond, build_wide
 
 
@@ -126,17 +128,18 @@ class TestKillNineMidBurst:
 
 class TestWedgedWorker:
     def test_liveness_watchdog_kills_and_fails_over(
-        self, fresh_cache, monkeypatch
+        self, fresh_cache, tmp_path
     ):
-        # Slot 0 (first generation) stops heartbeating and sleeps 30s on
-        # its first job — stuck in "native code".  The watchdog must
-        # SIGKILL it long before that and fail the job over to slot 1.
-        monkeypatch.setenv("REPRO_CHAOS_FLEET_WEDGE_S", "30.0")
-        monkeypatch.setenv("REPRO_CHAOS_FLEET_WEDGE_SLOT", "0")
+        # The first worker to take the job stops itself (SIGSTOP): no
+        # heartbeat, no answer — stuck in "native code".  The watchdog
+        # must SIGKILL it and fail the job over to the other worker.
         fleet = _fleet(workers=2, liveness_timeout_s=0.5)
         try:
             start = time.monotonic()
-            value, _ = fleet.run(_request(), None)
+            value, _ = fleet.run(
+                (str(tmp_path / "wedged"), _request()), None,
+                fn=chaos_workers.wedge_once,
+            )
             elapsed = time.monotonic() - start
             assert value is not None
             assert elapsed < 15.0, "must not wait out the 30s wedge"
@@ -150,17 +153,18 @@ class TestWedgedWorker:
 
 class TestHedgedRetries:
     def test_straggler_is_hedged_and_fast_copy_wins(
-        self, fresh_cache, monkeypatch
+        self, fresh_cache, tmp_path
     ):
-        # Slot 0 is slow (5s extra per job, heartbeats intact — not
-        # wedged, just slow).  With hedging armed at 0.3s and slot 1
-        # idle, the duplicate dispatch must win long before 5s.
-        monkeypatch.setenv("REPRO_CHAOS_FLEET_SLOW_S", "5.0")
-        monkeypatch.setenv("REPRO_CHAOS_FLEET_SLOW_SLOT", "0")
+        # The first copy of the job is slow (5s extra, heartbeats intact
+        # — not wedged, just slow).  With hedging armed at 0.3s and the
+        # other worker idle, the duplicate dispatch must win long before.
         fleet = _fleet(workers=2, hedge_after_s=0.3, liveness_timeout_s=10.0)
         try:
             start = time.monotonic()
-            value, _ = fleet.run(_request(), None)
+            value, _ = fleet.run(
+                (str(tmp_path / "straggled"), 5.0, _request()), None,
+                fn=chaos_workers.straggle_once,
+            )
             elapsed = time.monotonic() - start
             assert value is not None
             assert elapsed < 4.0, "the hedge must beat the straggler"

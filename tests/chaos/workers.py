@@ -9,6 +9,7 @@ directory the test passes in.
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 from repro.perf.cache import DesignCache
@@ -71,6 +72,45 @@ def counted_double(x, count_dir):
 def slow_double(x, seconds=0.2):
     time.sleep(seconds)
     return 2 * x
+
+
+def _first_call(marker_path: str) -> bool:
+    """True for exactly one call per marker path, across processes."""
+    try:
+        os.close(os.open(marker_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def exit_job(payload, remaining_s):
+    """A fleet job that kills every worker that runs it: the request is
+    what crashes the fleet, so failover must give up, not loop."""
+    os._exit(13)
+
+
+def wedge_once(payload, remaining_s):
+    """A fleet job whose first copy stops its own worker with SIGSTOP: no
+    heartbeats and no answer, as if stuck in native code.  Every later
+    copy compiles ``payload = (marker_path, request)``."""
+    from repro.serve.fleet import _run_one_request
+
+    marker_path, request = payload
+    if _first_call(marker_path):
+        os.kill(os.getpid(), signal.SIGSTOP)
+    return _run_one_request(request, remaining_s)
+
+
+def straggle_once(payload, remaining_s):
+    """A fleet job whose first copy sleeps ``seconds`` before compiling,
+    heartbeats intact: a straggler, not a wedge.  ``payload = (marker_path,
+    seconds, request)``."""
+    from repro.serve.fleet import _run_one_request
+
+    marker_path, seconds, request = payload
+    if _first_call(marker_path):
+        time.sleep(seconds)
+    return _run_one_request(request, remaining_s)
 
 
 def _expected_payload(key: str):

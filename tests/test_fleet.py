@@ -31,6 +31,7 @@ from repro.perf.supervise import BackoffPolicy, RespawnGovernor
 from repro.serve.broker import CompileRequest
 from repro.serve.fleet import FleetConfig, WorkerFleet
 
+from tests.chaos import workers as chaos_workers
 from tests.conftest import build_diamond
 
 
@@ -325,13 +326,10 @@ class TestWorkerFleet:
         assert health["counters"]["completed"] == 1
         assert health["counters"]["worker_crashes"] == 0
 
-    def test_crashing_request_exhausts_failovers(
-        self, fresh_cache, monkeypatch
-    ):
-        # Every worker generation dies on its first job: the request
-        # itself is the killer.  It must fail typed (WorkerCrashError)
-        # after max_failovers, not retry forever.
-        monkeypatch.setenv("REPRO_CHAOS_FLEET_EXIT_ALWAYS", "1")
+    def test_crashing_request_exhausts_failovers(self, fresh_cache):
+        # Every worker generation dies on the job: the request itself is
+        # the killer.  It must fail typed (WorkerCrashError) after
+        # max_failovers, not retry forever.
         fleet = _fast_fleet(
             workers=1, max_failovers=1, quarantine_threshold=10
         )
@@ -342,6 +340,7 @@ class TestWorkerFleet:
                         graph=build_diamond(), cluster=paper_testbed()
                     ),
                     None,
+                    fn=chaos_workers.exit_job,
                 )
             assert excinfo.value.failovers == 2
             assert excinfo.value.retry_after_s > 0

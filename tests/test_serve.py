@@ -922,3 +922,242 @@ class TestOneFrontDoor:
             server.shutdown()
             server.server_close()
             service.shutdown()
+
+
+class TestDesignRuleEnvelope:
+    """A DRC rejection keeps its structured diagnostics in the JSON
+    envelope: the HTTP 422 body (thread and fleet mode) and the CLI's
+    ``--json`` output."""
+
+    @staticmethod
+    def _has_g101(envelope: dict) -> bool:
+        return any(
+            d["rule"] == "G101" and d["severity"] == "error"
+            for d in envelope.get("diagnostics", [])
+        )
+
+    @pytest.mark.parametrize("fleet_workers", [0, 1], ids=["threads", "fleet"])
+    def test_http_422_carries_the_diagnostics(self, fleet_workers):
+        from repro.graph.serialize import graph_to_dict
+
+        from tests.test_check import build_deadlock
+
+        service = _service(
+            workers=1, max_queue=8, fleet_workers=fleet_workers
+        )
+        server, port = TestRetryHintRoundTrip._serve(service)
+        try:
+            status, _, body = TestRetryHintRoundTrip._post(
+                port,
+                {"graph": graph_to_dict(build_deadlock()), "use_cache": False},
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown()
+        assert status == 422
+        assert body["error"] == "DesignRuleError"
+        assert self._has_g101(body), body
+
+    def test_cli_json_envelope_carries_the_diagnostics(
+        self, tmp_path, capsys
+    ):
+        import json as json_module
+
+        from repro.cli import main
+        from repro.graph.serialize import dumps
+        from repro.serve.broker import configure_service, reset_service
+
+        from tests.test_check import build_deadlock
+
+        graph_path = tmp_path / "jam.json"
+        graph_path.write_text(dumps(build_deadlock()))
+        configure_service(ServiceConfig(workers=1, max_queue=8))
+        try:
+            with pytest.raises(SystemExit) as err:
+                main(["compile", str(graph_path), "--json"])
+            envelope = json_module.loads(capsys.readouterr().out)
+        finally:
+            reset_service()
+        assert err.value.code == 1
+        assert envelope["error"] == "DesignRuleError"
+        assert self._has_g101(envelope), envelope
+
+
+class TestCallerThreadExecution:
+    """``execute()`` runs its request on the calling thread: the broker
+    admits the request and hands out execution slots, but owns no
+    worker threads."""
+
+    @staticmethod
+    def _request(use_cache: bool = True):
+        return CompileRequest(
+            graph=build_diamond(), cluster=make_cluster(2), use_cache=use_cache
+        )
+
+    def test_thread_mode_runs_the_request_on_the_caller(self, monkeypatch):
+        import threading
+
+        import repro.serve.broker as broker_module
+
+        ran_on = []
+        original = broker_module.run_request
+
+        def recording(request, deadline):
+            ran_on.append(threading.get_ident())
+            return original(request, deadline)
+
+        monkeypatch.setattr(broker_module, "run_request", recording)
+        service = _service(workers=2, max_queue=8)
+        try:
+            service.execute(self._request())
+        finally:
+            service.shutdown()
+        assert ran_on == [threading.get_ident()]
+
+    def test_fleet_mode_calls_the_fleet_on_the_caller(self, monkeypatch):
+        import threading
+
+        from repro.serve.fleet import WorkerFleet
+
+        ran_on = []
+        original = WorkerFleet.run
+
+        def recording(fleet, request, deadline, *args, **kwargs):
+            ran_on.append(threading.get_ident())
+            return original(fleet, request, deadline, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerFleet, "run", recording)
+        service = _service(workers=1, max_queue=8, fleet_workers=1)
+        try:
+            design = service.execute(self._request())
+        finally:
+            service.shutdown()
+        assert design.floorplan_tier == "full"
+        assert ran_on == [threading.get_ident()]
+
+    def test_no_thread_of_its_own_outlives_the_requests(self, monkeypatch):
+        """Four callers on two slots, with a short switch interval: no
+        more than two requests ever run at once, every call completes,
+        and the service is left with no thread but the brownout ticker."""
+        import sys
+        import threading
+
+        import repro.serve.broker as broker_module
+
+        guard, running, peak = threading.Lock(), [0], [0]
+
+        def counted(request, deadline):
+            with guard:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.001)
+            with guard:
+                running[0] -= 1
+            return "ok"
+
+        monkeypatch.setattr(broker_module, "run_request", counted)
+        before = set(threading.enumerate())
+        service = _service(workers=2, max_queue=8)
+        errors = []
+
+        def caller():
+            try:
+                for _ in range(25):
+                    # Uncached: no two calls coalesce, each one runs.
+                    request = self._request(use_cache=False)
+                    assert service.execute(request) == "ok"
+            except BaseException as exc:  # pragma: no cover - fails below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in callers)
+            assert not errors, errors
+            assert service.counters["completed"] == 100
+            assert 1 <= peak[0] <= 2
+            assert service._admitted == {"interactive": 0, "batch": 0}
+            assert not service._queue
+            alive = [
+                thread.name for thread in threading.enumerate()
+                if thread not in before and thread.is_alive()
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+            service.shutdown()
+        assert alive == ["repro-serve-brownout"]
+
+    def test_interrupt_in_a_request_reaches_the_caller_and_frees_its_slot(
+        self, monkeypatch
+    ):
+        import repro.serve.broker as broker_module
+
+        calls = []
+
+        def interrupted_once(request, deadline):
+            calls.append(request)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return "ok"
+
+        monkeypatch.setattr(broker_module, "run_request", interrupted_once)
+        service = _service(workers=1, max_queue=8)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                service.execute(self._request())
+            assert service._admitted == {"interactive": 0, "batch": 0}
+            assert service.execute(self._request()) == "ok"
+            assert service.counters["failed"] == 1
+            assert service.counters["completed"] == 1
+        finally:
+            service.shutdown()
+
+    def test_interrupt_while_waiting_for_a_slot_hands_the_request_on(
+        self, monkeypatch
+    ):
+        """A caller interrupted before its request gets a slot: the
+        request was admitted (others may have joined it), so it runs on
+        a thread of its own and gives its slot back."""
+        import repro.serve.broker as broker_module
+
+        class InterruptedOnce:
+            def __init__(self, event):
+                self.event, self.raised = event, False
+
+            def wait(self, timeout=None):
+                if not self.raised:
+                    self.raised = True
+                    raise KeyboardInterrupt
+                return self.event.wait(timeout)
+
+            def set(self):
+                self.event.set()
+
+        original = broker_module.CompileService._submit
+
+        def interrupted_submit(service, request, sync_accept):
+            pending, queued = original(service, request, sync_accept)
+            pending.granted = InterruptedOnce(pending.granted)
+            return pending, queued
+
+        monkeypatch.setattr(
+            broker_module, "run_request", lambda request, deadline: "ok"
+        )
+        monkeypatch.setattr(
+            broker_module.CompileService, "_submit", interrupted_submit
+        )
+        service = _service(workers=1, max_queue=8)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                service.execute(self._request(use_cache=False))
+            assert service._wait_idle(10.0)
+            assert service.counters["completed"] == 1
+            assert service._admitted == {"interactive": 0, "batch": 0}
+        finally:
+            service.shutdown()

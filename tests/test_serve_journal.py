@@ -384,7 +384,13 @@ class TestJournalLifecycle:
         write_aside = journal_module.AppendLog.write_aside
 
         def parked_write_aside(log, records):
-            locked.append(journal._lock.locked())
+            # A rewrite that held the (non-reentrant) journal lock could
+            # not take it; ``locked()`` alone would also be true while
+            # this test's thread appends the checkpoint record.
+            took = journal._lock.acquire(timeout=5.0)
+            if took:
+                journal._lock.release()
+            locked.append(not took)
             writing.set()
             release.wait(10.0)
             return write_aside(log, records)
