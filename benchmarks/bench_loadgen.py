@@ -29,6 +29,7 @@ and therefore ungated).  Exits 0 on success, 1 with a diagnostic.
 import json
 import os
 import pathlib
+import shutil
 import signal
 import socket
 import subprocess
@@ -100,8 +101,16 @@ def well_stats(document) -> dict:
 
 
 def main() -> int:
-    port = free_port()
     cache_dir = tempfile.mkdtemp(prefix="repro-loadgen-cache-")
+    try:
+        return bench(cache_dir)
+    finally:
+        # The server has exited by now, pass or fail.
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+
+def bench(cache_dir: str) -> int:
+    port = free_port()
     env = dict(
         os.environ,
         PYTHONPATH=str(REPO / "src"),

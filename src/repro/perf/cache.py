@@ -20,9 +20,9 @@ Set ``REPRO_NO_CACHE=1`` (or pass ``--no-cache`` to the CLI) to bypass
 the cache entirely; set ``REPRO_CACHE_MEMORY_ONLY=1`` to keep the
 in-process tier but skip the disk.  ``REPRO_CACHE_MEMORY_ENTRIES=N``
 bounds the in-process tier to an N-entry LRU (0, the default, means
-unbounded) — fleet worker processes set a bound so N workers sharing a
-machine hold N small LRUs over one shared disk tier instead of N
-unbounded dictionaries.
+unbounded) — fleet worker processes, and the serving process in front
+of them, set a bound so the processes sharing a machine hold small LRUs
+over one shared disk tier instead of unbounded dictionaries.
 
 **Sharing.**  The disk tier is the *cross-worker artifact store*: any
 number of processes — parallel sweeps, the serve fleet's workers, a
@@ -52,6 +52,7 @@ import hashlib
 import logging
 import os
 import pickle
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -136,12 +137,16 @@ class DesignCache:
     use_disk: bool = True
     #: LRU bound on the in-process tier; 0 means unbounded (the
     #: historical behaviour, right for one long-lived process that owns
-    #: the machine; fleet workers set a bound via
-    #: ``REPRO_CACHE_MEMORY_ENTRIES``).
+    #: the machine; ``REPRO_CACHE_MEMORY_ENTRIES`` sets one, and fleet
+    #: workers and the serving process in front of them take the
+    #: fleet's).
     memory_limit: int = 0
     stats: CacheStats = field(default_factory=CacheStats)
     #: Insertion-ordered: first key is least-recently-used.
     _memory: dict[str, tuple[Any, float]] = field(default_factory=dict)
+    #: Guards the memory tier and the counters: a serving process looks
+    #: entries up from several request threads at once.
+    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def _touch(self, fingerprint: str) -> None:
         """Mark an entry most-recently-used (dict order is LRU order)."""
@@ -198,7 +203,8 @@ class DesignCache:
             reason,
             self.directory,
         )
-        self.stats.corrupt_evictions += 1
+        with self._lock:
+            self.stats.corrupt_evictions += 1
         with self._locked():
             try:
                 os.unlink(path)
@@ -240,48 +246,62 @@ class DesignCache:
             len(raw),
         )
 
-    def get(self, fingerprint: str) -> Any | None:
+    def get(
+        self, fingerprint: str, stats: CacheStats | None = None
+    ) -> Any | None:
         """The cached value for a fingerprint, or None on a miss.
 
         Any form of on-disk damage — truncation, bit-flips, an entry
         from an older format — reads as a miss: the file is evicted and
         the caller recomputes.  Corruption can change *when* work runs,
         never *what* it produces.
+
+        The hit or miss is counted in ``stats`` (default: this cache's
+        own); evictions always count here.  The serving broker counts
+        into a record of its own and keeps it only when its lookups
+        answer the request: otherwise the fleet worker that answers it
+        looks the entries up again and counts them there.
         """
         if not self.enabled:
             return None
-        entry = self._memory.get(fingerprint)
-        if entry is not None:
-            value, elapsed = entry
-            self._touch(fingerprint)
-            self.stats.hits += 1
-            self.stats.memory_hits += 1
-            self.stats.seconds_saved += elapsed
-            return value
+        if stats is None:
+            stats = self.stats
+        with self._lock:
+            entry = self._memory.get(fingerprint)
+            if entry is not None:
+                value, elapsed = entry
+                self._touch(fingerprint)
+                stats.hits += 1
+                stats.memory_hits += 1
+                stats.seconds_saved += elapsed
+                return value
         if self.use_disk:
             loaded = self._read_entry(fingerprint)
             if isinstance(loaded, tuple):
                 value, elapsed, nbytes = loaded
-                self._memory[fingerprint] = (value, elapsed)
-                self._enforce_memory_limit()
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-                self.stats.bytes_read += nbytes
-                self.stats.seconds_saved += elapsed
+                with self._lock:
+                    self._memory[fingerprint] = (value, elapsed)
+                    self._enforce_memory_limit()
+                    stats.hits += 1
+                    stats.disk_hits += 1
+                    stats.bytes_read += nbytes
+                    stats.seconds_saved += elapsed
                 return value
             if loaded != "missing":
                 self._evict_corrupt(fingerprint, loaded)
-        self.stats.misses += 1
+        with self._lock:
+            stats.misses += 1
         return None
 
     def put(self, fingerprint: str, value: Any, elapsed_seconds: float) -> None:
         """Store a computed value plus the wall time it cost to make."""
         if not self.enabled:
             return
-        self._memory.pop(fingerprint, None)
-        self._memory[fingerprint] = (value, elapsed_seconds)
-        self._enforce_memory_limit()
-        self.stats.stores += 1
+        with self._lock:
+            self._memory.pop(fingerprint, None)
+            self._memory[fingerprint] = (value, elapsed_seconds)
+            self._enforce_memory_limit()
+            self.stats.stores += 1
         if not self.use_disk:
             return
         try:
@@ -305,7 +325,8 @@ class DesignCache:
                 handle.write(blob)
             with self._locked():
                 os.replace(tmp, path)
-            self.stats.bytes_written += len(blob)
+            with self._lock:
+                self.stats.bytes_written += len(blob)
         except OSError:
             try:
                 os.unlink(tmp)
@@ -335,8 +356,9 @@ class DesignCache:
 
     def clear(self, disk: bool = True) -> int:
         """Drop the memory tier and (optionally) every disk entry."""
-        removed = len(self._memory)
-        self._memory.clear()
+        with self._lock:
+            removed = len(self._memory)
+            self._memory.clear()
         if disk:
             with self._locked():
                 for fp in self.disk_entries():
@@ -427,14 +449,15 @@ def configure_cache(
     cache = get_cache()
     if directory is not None and directory != cache.directory:
         cache.directory = directory
-        cache._memory.clear()
+        cache.clear(disk=False)
     if enabled is not None:
         cache.enabled = enabled
     if use_disk is not None:
         cache.use_disk = use_disk
     if memory_limit is not None:
-        cache.memory_limit = max(0, memory_limit)
-        cache._enforce_memory_limit()
+        with cache._lock:
+            cache.memory_limit = max(0, memory_limit)
+            cache._enforce_memory_limit()
     return cache
 
 
@@ -448,9 +471,11 @@ def cache_stats() -> CacheStats:
     return get_cache().stats
 
 
-def merge_stats(delta: dict[str, Any]) -> None:
+def merge_stats(delta: CacheStats | dict[str, Any]) -> None:
     """Fold a worker process's stats delta into this process's stats."""
-    get_cache().stats.add(delta)
+    cache = get_cache()
+    with cache._lock:
+        cache.stats.add(delta)
 
 
 def stats_report() -> str:

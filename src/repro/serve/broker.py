@@ -45,6 +45,9 @@ With no deadline, an idle queue, and closed breakers, a request is a
 pass-through to :func:`repro.perf.cache.cached_compile` /
 ``cached_simulate`` — byte-identical artifacts, same cache keys — so
 routing everything through the service costs nothing on the happy path.
+With a worker fleet, a request whose answer is stored is answered from
+this process's cache under its admission fingerprint; only the rest
+cross the fleet's pipe to a worker process.
 """
 
 from __future__ import annotations
@@ -214,7 +217,8 @@ class _Fingerprinted:
     Only :meth:`CompileService._run` builds one, from the key it computed
     itself at admission — never from a request field or a journal record
     — so the thread or fleet worker running the request does not compute
-    the same key again.
+    the same key again.  In fleet mode the broker looks the key up in its
+    own process's cache first (:func:`_stored_answer`).
     """
 
     request: CompileRequest
@@ -257,6 +261,37 @@ def run_request(
         sim_config = request.sim_config or SimulationConfig()
         simulate_fn = cached_simulate if request.use_cache else simulate
         return design, simulate_fn(design, sim_config, faults=request.faults)
+
+
+def _stored_answer(job: CompileRequest | _Fingerprinted) -> Any:
+    """The whole cached answer to a fingerprinted job, or None.
+
+    The design under the admission key and, for a ``simulate`` request,
+    the result under its simulation key: the entries :func:`run_request`
+    would find.  The lookups count only when both are there; a miss, or
+    a design without its result, goes to a fleet worker, whose own
+    lookups count it.
+    """
+    if not isinstance(job, _Fingerprinted):
+        return None
+    from ..perf.cache import CacheStats, get_cache, merge_stats
+    from ..perf.fingerprint import fingerprint_simulate
+    from ..sim.execution import SimulationConfig
+
+    request, cache, counted = job.request, get_cache(), CacheStats()
+    answer = design = cache.get(job.fingerprint, counted)
+    if design is not None and request.kind == "simulate":
+        result = cache.get(
+            fingerprint_simulate(
+                design, request.sim_config or SimulationConfig(),
+                faults=request.faults,
+            ),
+            counted,
+        )
+        answer = None if result is None else (design, result)
+    if answer is not None:
+        merge_stats(counted)
+    return answer
 
 
 def _run_in_thread(
@@ -368,6 +403,15 @@ class CompileService:
             fleet_config = self.config.fleet or FleetConfig.from_env()
             fleet_config.workers = self.config.fleet_workers
             self.fleet = WorkerFleet(fleet_config)
+            # This process answers cache hits itself (see _run), so its
+            # memory tier holds designs as a worker's does: bound it the
+            # same way, unless REPRO_CACHE_MEMORY_ENTRIES already did.
+            from ..perf.cache import configure_cache, get_cache
+
+            if get_cache().memory_limit == 0:
+                configure_cache(
+                    memory_limit=fleet_config.worker_cache_entries
+                )
         self.breakers = {
             name: CircuitBreaker(name, self.config.breaker)
             for name in BREAKER_BACKENDS
@@ -710,15 +754,17 @@ class CompileService:
     ) -> tuple[_Pending, bool]:
         cls = request.priority
         tenant = request.tenant or DEFAULT_TENANT
-        # Fingerprinting is CPU work: do it outside the lock.
-        fingerprint, key = self._fingerprint(request)
         client_key = request.idempotency_key or None
-        deadline = (
-            Deadline.after(request.deadline_s)
-            if request.deadline_s is not None and request.deadline_s > 0
-            else None
-        )
         try:
+            self._gate(cls, tenant)
+            # Fingerprinting is CPU work: do it outside the lock, and
+            # only for a request its tenant's quota let in.
+            fingerprint, key = self._fingerprint(request)
+            deadline = (
+                Deadline.after(request.deadline_s)
+                if request.deadline_s is not None and request.deadline_s > 0
+                else None
+            )
             pending, queued = self._admit(
                 request, cls, tenant, fingerprint, key, client_key, deadline
             )
@@ -735,17 +781,12 @@ class CompileService:
             self._journal_checkpoint()
         return pending, queued
 
-    def _admit(
-        self,
-        request: CompileRequest,
-        cls: str,
-        tenant: str,
-        fingerprint: str | None,
-        key: str | None,
-        client_key: str | None,
-        deadline: Deadline | None,
-    ) -> tuple[_Pending, bool]:
-        """The locked admission decision: ``(handle, newly queued?)``."""
+    def _gate(self, cls: str, tenant: str) -> None:
+        """The admission checks that need no fingerprint (locked).
+
+        Class, drain and quota: a request shed here is never
+        fingerprinted.
+        """
         with self._lock:
             self.counters["submitted"] += 1
             if cls not in self._admitted:
@@ -754,15 +795,7 @@ class CompileService:
                     f"unknown priority {cls!r}; choose one of "
                     f"{', '.join(REQUEST_CLASSES)}"
                 )
-            if self._draining:
-                self.counters["drain_rejected"] += 1
-                raise DrainingError(
-                    "service is draining; it will finish admitted work "
-                    "and exit — retry against a fresh instance",
-                    retry_after_s=self._retry_after_estimate(cls),
-                )
-            if self._shutdown:
-                raise OverloadedError("service is shutting down", 1.0)
+            self._reject_if_closed(cls)
             # Per-tenant quota runs before single-flight: a coalesced
             # wait is nearly free for the service, but tokens price the
             # *request stream*, and an abusive tenant must not dodge its
@@ -773,6 +806,40 @@ class CompileService:
                 self.counters["quota_shed"] += 1
                 self._observe_pressure()
                 raise
+
+    def _reject_if_closed(self, cls: str) -> None:
+        # Called with the lock held.
+        if self._draining:
+            self.counters["drain_rejected"] += 1
+            raise DrainingError(
+                "service is draining; it will finish admitted work "
+                "and exit — retry against a fresh instance",
+                retry_after_s=self._retry_after_estimate(cls),
+            )
+        if self._shutdown:
+            raise OverloadedError("service is shutting down", 1.0)
+
+    def _admit(
+        self,
+        request: CompileRequest,
+        cls: str,
+        tenant: str,
+        fingerprint: str | None,
+        key: str | None,
+        client_key: str | None,
+        deadline: Deadline | None,
+    ) -> tuple[_Pending, bool]:
+        """The locked admission decision: ``(handle, newly queued?)``.
+
+        Runs after :meth:`_gate` and the fingerprint.
+        """
+        with self._lock:
+            if self._draining or self._shutdown:
+                # The drain began while this request was fingerprinted:
+                # reject it as one that came after, and give its token
+                # back.
+                self.quotas.refund(tenant)
+                self._reject_if_closed(cls)
             if client_key is not None:
                 resolved = self._resolve_idempotent(
                     request, client_key, key, tenant
@@ -1086,10 +1153,15 @@ class CompileService:
         # sick solver in a child process still opens the parent's ILP
         # breaker.
         try:
-            if self.fleet is not None:
-                value, entries = self.fleet.run(job, deadline)
-            else:
+            if self.fleet is None:
                 value, entries = _run_in_thread(job, deadline)
+            else:
+                # A stored answer needs no worker: this process reads the
+                # disk tier the workers write, so only a miss pays the
+                # fleet's pipe.
+                value, entries = _stored_answer(job), []
+                if value is None:
+                    value, entries = self.fleet.run(job, deadline)
         except BaseException as exc:
             self._feed_ilp_breaker(
                 exc, getattr(exc, "ladder_entries", []), ilp_allowed

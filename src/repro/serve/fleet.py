@@ -14,7 +14,9 @@ A job goes to an idle worker the moment it arrives, on the caller's
 thread (for the broker, the thread that asked for the request); with
 every worker busy it queues, and the monitor hands it to the first
 worker whose answer it reads.  The monitor's periodic tick
-(``_POLL_S``) is for supervision only.
+(``_POLL_S``) is for supervision only.  The broker sends the requests
+its own process's cache cannot answer — misses and journal replays —
+and parallel sweeps send every point.
 
 Supervision contract:
 
@@ -130,7 +132,9 @@ class FleetConfig:
     respawn_backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     quarantine_threshold: int = 3
     quarantine_cooldown_s: float = 5.0
-    #: Per-worker in-memory LRU bound; the disk tier is the shared store.
+    #: Per-worker in-memory LRU bound, which the broker's process takes
+    #: too (it answers cache hits itself); the disk tier is the shared
+    #: store.
     worker_cache_entries: int = 128
     #: How long :meth:`WorkerFleet.drain` waits for in-flight work.
     drain_timeout_s: float = 30.0

@@ -17,8 +17,8 @@ HTTP against a real ``repro serve --fleet 2 --journal-dir`` subprocess:
    pre-crash abuser is shed immediately off the checkpointed quota;
 5. *zero-downtime roll*: ``POST /reload`` recycles both workers behind
    the live front end while background load sees no unexpected 5xx;
-6. *journal overhead*: the mean fsync'd accept append costs < 5 % of
-   the measured cache-hit request latency;
+6. *journal overhead*: the mean journal append made by ten keyless
+   cache hits costs < 5 % of their median latency;
 7. *SIGINT == SIGTERM*: the final shutdown uses SIGINT and must drain
    cleanly to exit 0.
 
@@ -359,12 +359,17 @@ def smoke(journal_dir: str, cache_dir: str) -> int:
                 f"requests"
             )
 
-        # ---- phase 4: journal accept overhead vs cache-hit latency ----
-        # Keyless requests take the full path — admission, fsync'd
-        # accept append, worker dispatch, artifact-cache hit — which is
-        # exactly the latency the accept append must stay under 5 % of.
+        # ---- phase 4: journal append overhead vs cache-hit latency ----
+        # Keyless requests take the full path — admission, the accept
+        # append (unsynced: an HTTP request waits for its result, so
+        # there is no acceptance to acknowledge), the cache hit, the
+        # dispatched and done appends — which is exactly the latency the
+        # appends must stay under 5 % of.  Only the appends these hits
+        # make are timed: the broker's earlier records (its first appends
+        # at boot, the burst's fsync'd client-keyed ones) are not theirs.
         # (A keyed resubmit short-circuits at the journal's dedup store
-        # and never reaches a worker, so it is not the right baseline.)
+        # and never reaches the cache, so it is not the right baseline.)
+        before = get_health(port)["journal"]
         hits = []
         for _ in range(10):
             hit_start = time.monotonic()
@@ -373,15 +378,18 @@ def smoke(journal_dir: str, cache_dir: str) -> int:
             if status != 200:
                 failures.append(f"warm cache-hit request got {status}")
         wall["hit_ms"] = statistics.median(hits) * 1000.0
-        journal_doc = get_health(port)["journal"]
-        appends = max(1, journal_doc["appends"])
-        wall["append_ms"] = journal_doc["append_wall_s"] / appends * 1000.0
+        after = get_health(port)["journal"]
+        appends = max(1, after["appends"] - before["appends"])
+        wall["append_ms"] = (
+            (after["append_wall_s"] - before["append_wall_s"])
+            / appends * 1000.0
+        )
         bits["overhead_ok"] = int(
             wall["append_ms"] < 0.05 * wall["hit_ms"]
         )
         if not bits["overhead_ok"]:
             failures.append(
-                f"journal accept overhead {wall['append_ms']:.3f} ms is not "
+                f"journal append overhead {wall['append_ms']:.3f} ms is not "
                 f"< 5% of the {wall['hit_ms']:.1f} ms cache-hit latency"
             )
 

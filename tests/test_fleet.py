@@ -460,6 +460,165 @@ class TestWorkerIsolation:
         )
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestFrontAnswersHits:
+    """In fleet mode the broker looks a fingerprinted request up in its
+    own process's cache before it dispatches: a stored answer never
+    crosses the fleet's pipe, and each request's lookups count once."""
+
+    @staticmethod
+    def _service(**fleet_kwargs):
+        from repro.serve.broker import CompileService, ServiceConfig
+
+        fleet = FleetConfig(
+            heartbeat_s=0.05,
+            respawn_backoff=BackoffPolicy(base_s=0.01, cap_s=0.05, jitter=0.0),
+            **fleet_kwargs,
+        )
+        return CompileService(
+            ServiceConfig(workers=1, max_queue=8, fleet_workers=1, fleet=fleet)
+        )
+
+    @staticmethod
+    def _request(**kwargs) -> CompileRequest:
+        defaults = dict(graph=build_diamond(), cluster=paper_testbed())
+        defaults.update(kwargs)
+        return CompileRequest(**defaults)
+
+    @staticmethod
+    def _document(request, value) -> dict:
+        from repro.serve.server import result_document
+
+        document = result_document(request.kind, value)
+        document["design"].pop("floorplan_seconds")  # wall clock
+        return document
+
+    def test_repeat_is_answered_without_the_fleet(self, fresh_cache):
+        from repro.serve.broker import CompileService, ServiceConfig
+
+        service = self._service()
+        try:
+            first = service.execute(self._request())
+            dispatched = service.fleet.counters["dispatched"]
+            repeat = service.execute(self._request())
+            assert service.fleet.counters["dispatched"] == dispatched
+        finally:
+            service.shutdown()
+        threads = CompileService(ServiceConfig(workers=1))
+        try:
+            direct = threads.execute(self._request(use_cache=False))
+        finally:
+            threads.shutdown()
+        request = self._request()
+        assert self._document(request, repeat) == self._document(
+            request, first
+        )
+        assert self._document(request, repeat) == self._document(
+            request, direct
+        )
+
+    def test_each_request_is_counted_once(self, fresh_cache):
+        service = self._service()
+        try:
+            for _ in range(3):  # one cold, two repeats
+                service.execute(self._request())
+            cache = service.health()["cache"]
+        finally:
+            service.shutdown()
+        assert cache["misses"] == 1
+        assert cache["hits"] == 2
+
+    def test_simulate_dispatches_only_what_is_not_stored(self, fresh_cache):
+        from repro.serve.broker import CompileService, ServiceConfig
+
+        service = self._service()
+        simulate = self._request(kind="simulate")
+        try:
+            service.execute(self._request())  # stores the design only
+            counters = service.fleet.counters
+            before = dict(service.health()["cache"], sent=counters["dispatched"])
+            partial = service.execute(simulate)
+            after = dict(service.health()["cache"], sent=counters["dispatched"])
+            stored = service.execute(simulate)
+            final = counters["dispatched"]
+        finally:
+            service.shutdown()
+        # The design without its result goes to a worker, which looks
+        # both up and counts them: one hit, one miss, nothing twice.
+        assert after["sent"] == before["sent"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"] + 1
+        # Both stored: answered here.
+        assert final == after["sent"]
+        threads = CompileService(ServiceConfig(workers=1))
+        try:
+            direct = threads.execute(self._request(kind="simulate", use_cache=False))
+        finally:
+            threads.shutdown()
+        expected = self._document(simulate, direct)
+        assert self._document(simulate, partial) == expected
+        assert self._document(simulate, stored) == expected
+
+    def test_breaker_forced_greedy_still_dispatches(self, fresh_cache):
+        service = self._service()
+        try:
+            service.execute(self._request())  # the full tier, stored
+            for _ in range(service.config.breaker.failure_threshold):
+                service.breakers["ilp"].record_failure()
+            dispatched = service.fleet.counters["dispatched"]
+            design = service.execute(self._request())
+            assert service.fleet.counters["dispatched"] == dispatched + 1
+        finally:
+            service.shutdown()
+        assert service.counters["breaker_forced_greedy"] == 1
+        assert design.floorplan_tier == "greedy"
+
+    def test_corrupt_entry_is_evicted_and_the_fleet_answers(self, fresh_cache):
+        service = self._service()
+        try:
+            first = service.execute(self._request())
+            (fingerprint,) = fresh_cache.disk_entries()
+            with open(fresh_cache._path(fingerprint), "r+b") as handle:
+                handle.seek(-1, os.SEEK_END)
+                handle.write(b"\x00")
+            dispatched = service.fleet.counters["dispatched"]
+            repeat = service.execute(self._request())
+            assert service.fleet.counters["dispatched"] == dispatched + 1
+            cache = service.health()["cache"]
+        finally:
+            service.shutdown()
+        assert cache["corrupt_evictions"] == 1
+        assert fingerprint not in fresh_cache.disk_entries()
+        request = self._request()
+        assert self._document(request, repeat) == self._document(
+            request, first
+        )
+
+    def test_front_memory_tier_takes_the_worker_bound(self, fresh_cache):
+        from tests.conftest import build_chain
+
+        service = self._service(worker_cache_entries=2)
+        requests = [
+            self._request(graph=build_chain(length)) for length in (3, 4, 5)
+        ]
+        try:
+            for request in requests + requests:  # cold, then hits
+                service.execute(request)
+            dispatched = service.fleet.counters["dispatched"]
+        finally:
+            service.shutdown()
+        assert dispatched == len(requests)
+        assert fresh_cache.memory_limit == 2
+        assert len(fresh_cache._memory) <= 2
+        assert fresh_cache.stats.memory_evictions >= 1
+
+    def test_a_bound_set_for_the_process_is_kept(self, fresh_cache):
+        fresh_cache.memory_limit = 5
+        service = self._service(worker_cache_entries=2)
+        service.shutdown()
+        assert fresh_cache.memory_limit == 5
+
+
 class TestRollingRestart:
     """Zero-downtime roll: every slot recycles to a fresh generation,
     one at a time, with no failures and no governor penalty."""

@@ -1030,7 +1030,8 @@ class TestCallerThreadExecution:
         monkeypatch.setattr(WorkerFleet, "run", recording)
         service = _service(workers=1, max_queue=8, fleet_workers=1)
         try:
-            design = service.execute(self._request())
+            # Uncached: a cached design is answered without the fleet.
+            design = service.execute(self._request(use_cache=False))
         finally:
             service.shutdown()
         assert design.floorplan_tier == "full"

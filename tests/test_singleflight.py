@@ -360,6 +360,58 @@ class TestFingerprintOnce:
         finally:
             service.shutdown(wait=False)
 
+    def test_quota_shed_request_is_not_fingerprinted(
+        self, fresh_cache, monkeypatch, tmp_path
+    ):
+        from repro.errors import QuotaExceededError
+        from repro.serve.quota import QuotaConfig, TenantLimits
+
+        calls = tmp_path / "fingerprint-calls"
+        self._count_fingerprints(monkeypatch, calls)
+        quota = QuotaConfig(
+            default=TenantLimits(rate=0.0),
+            overrides={"capped": TenantLimits(rate=0.0001, burst=1.0)},
+        )
+        service = CompileService(ServiceConfig(workers=1, quota=quota))
+        try:
+            service.quotas.admit("capped")  # spend its only token
+            with pytest.raises(QuotaExceededError):
+                service.execute(_request(tenant="capped"))
+        finally:
+            service.shutdown(wait=False)
+        assert not calls.exists()
+        assert service.counters["submitted"] == 1
+        assert service.counters["quota_shed"] == 1
+
+    def test_drain_during_the_fingerprint_still_rejects(
+        self, fresh_cache, monkeypatch
+    ):
+        """A drain that begins while a request is fingerprinted rejects
+        it, counted once, and its quota token goes back."""
+        from repro.serve.quota import QuotaConfig, TenantLimits
+
+        quota = QuotaConfig(default=TenantLimits(rate=0.0001, burst=5.0))
+        service = CompileService(ServiceConfig(workers=1, quota=quota))
+        real = service._fingerprint
+
+        def drain_meanwhile(request):
+            with service._lock:
+                service._draining = True
+            return real(request)
+
+        monkeypatch.setattr(service, "_fingerprint", drain_meanwhile)
+        try:
+            service.quotas.admit("t")
+            tokens = service.quotas._tenants["t"].bucket.tokens
+            with pytest.raises(DrainingError):
+                service.execute(_request(tenant="t"))
+            after = service.quotas._tenants["t"].bucket.tokens
+        finally:
+            service.shutdown(wait=False)
+        assert service.counters["submitted"] == 1
+        assert service.counters["drain_rejected"] == 1
+        assert after == pytest.approx(tokens, abs=0.01)
+
     def test_breaker_forced_greedy_looks_up_its_own_key(
         self, fresh_cache, monkeypatch
     ):
