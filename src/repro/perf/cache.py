@@ -21,8 +21,10 @@ the cache entirely; set ``REPRO_CACHE_MEMORY_ONLY=1`` to keep the
 in-process tier but skip the disk.  ``REPRO_CACHE_MEMORY_ENTRIES=N``
 bounds the in-process tier to an N-entry LRU (0, the default, means
 unbounded) — fleet worker processes, and the serving process in front
-of them, set a bound so the processes sharing a machine hold small LRUs
-over one shared disk tier instead of unbounded dictionaries.
+of them while it serves, take the fleet's bound instead
+(``REPRO_FLEET_CACHE_ENTRIES``), so the processes sharing a machine
+hold small LRUs over one shared disk tier instead of unbounded
+dictionaries.
 
 **Sharing.**  The disk tier is the *cross-worker artifact store*: any
 number of processes — parallel sweeps, the serve fleet's workers, a
@@ -246,9 +248,7 @@ class DesignCache:
             len(raw),
         )
 
-    def get(
-        self, fingerprint: str, stats: CacheStats | None = None
-    ) -> Any | None:
+    def get(self, fingerprint: str, count_miss: bool = True) -> Any | None:
         """The cached value for a fingerprint, or None on a miss.
 
         Any form of on-disk damage — truncation, bit-flips, an entry
@@ -256,24 +256,19 @@ class DesignCache:
         the caller recomputes.  Corruption can change *when* work runs,
         never *what* it produces.
 
-        The hit or miss is counted in ``stats`` (default: this cache's
-        own); evictions always count here.  The serving broker counts
-        into a record of its own and keeps it only when its lookups
-        answer the request: otherwise the fleet worker that answers it
-        looks the entries up again and counts them there.
+        ``count_miss=False`` is for the serving broker's lookup: a miss
+        there goes to a fleet worker, whose own lookup counts it.
         """
         if not self.enabled:
             return None
-        if stats is None:
-            stats = self.stats
         with self._lock:
             entry = self._memory.get(fingerprint)
             if entry is not None:
                 value, elapsed = entry
                 self._touch(fingerprint)
-                stats.hits += 1
-                stats.memory_hits += 1
-                stats.seconds_saved += elapsed
+                self.stats.hits += 1
+                self.stats.memory_hits += 1
+                self.stats.seconds_saved += elapsed
                 return value
         if self.use_disk:
             loaded = self._read_entry(fingerprint)
@@ -282,15 +277,16 @@ class DesignCache:
                 with self._lock:
                     self._memory[fingerprint] = (value, elapsed)
                     self._enforce_memory_limit()
-                    stats.hits += 1
-                    stats.disk_hits += 1
-                    stats.bytes_read += nbytes
-                    stats.seconds_saved += elapsed
+                    self.stats.hits += 1
+                    self.stats.disk_hits += 1
+                    self.stats.bytes_read += nbytes
+                    self.stats.seconds_saved += elapsed
                 return value
             if loaded != "missing":
                 self._evict_corrupt(fingerprint, loaded)
-        with self._lock:
-            stats.misses += 1
+        if count_miss:
+            with self._lock:
+                self.stats.misses += 1
         return None
 
     def put(self, fingerprint: str, value: Any, elapsed_seconds: float) -> None:
@@ -471,7 +467,7 @@ def cache_stats() -> CacheStats:
     return get_cache().stats
 
 
-def merge_stats(delta: CacheStats | dict[str, Any]) -> None:
+def merge_stats(delta: dict[str, Any]) -> None:
     """Fold a worker process's stats delta into this process's stats."""
     cache = get_cache()
     with cache._lock:
@@ -539,7 +535,8 @@ def cached_compile(
         # A deadline-degraded floorplan is correct but not *the* answer
         # for this fingerprint; caching it would let one hurried request
         # poison every later unhurried one.
-        cache.stats.degraded_compiles += 1
+        with cache._lock:
+            cache.stats.degraded_compiles += 1
         return design
     cache.put(fingerprint, design, time.perf_counter() - start)
     return design

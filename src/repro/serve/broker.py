@@ -45,9 +45,9 @@ With no deadline, an idle queue, and closed breakers, a request is a
 pass-through to :func:`repro.perf.cache.cached_compile` /
 ``cached_simulate`` — byte-identical artifacts, same cache keys — so
 routing everything through the service costs nothing on the happy path.
-With a worker fleet, a request whose answer is stored is answered from
-this process's cache under its admission fingerprint; only the rest
-cross the fleet's pipe to a worker process.
+With a worker fleet, a compile request whose design is stored is
+answered from this process's cache under its admission fingerprint;
+misses and simulate requests cross the fleet's pipe to a worker process.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class _Fingerprinted:
     itself at admission — never from a request field or a journal record
     — so the thread or fleet worker running the request does not compute
     the same key again.  In fleet mode the broker looks the key up in its
-    own process's cache first (:func:`_stored_answer`).
+    own process's cache first (:func:`_stored_design`).
     """
 
     request: CompileRequest
@@ -263,35 +263,18 @@ def run_request(
         return design, simulate_fn(design, sim_config, faults=request.faults)
 
 
-def _stored_answer(job: CompileRequest | _Fingerprinted) -> Any:
-    """The whole cached answer to a fingerprinted job, or None.
+def _stored_design(job: CompileRequest | _Fingerprinted) -> Any:
+    """The cached design for a fingerprinted ``compile`` job, or None.
 
-    The design under the admission key and, for a ``simulate`` request,
-    the result under its simulation key: the entries :func:`run_request`
-    would find.  The lookups count only when both are there; a miss, or
-    a design without its result, goes to a fleet worker, whose own
-    lookups count it.
+    The entry :func:`run_request` would find under the admission key.
+    Only a hit counts here: a miss goes to a fleet worker, whose own
+    lookup counts it.  A ``simulate`` job always goes to a worker.
     """
-    if not isinstance(job, _Fingerprinted):
+    if not isinstance(job, _Fingerprinted) or job.request.kind == "simulate":
         return None
-    from ..perf.cache import CacheStats, get_cache, merge_stats
-    from ..perf.fingerprint import fingerprint_simulate
-    from ..sim.execution import SimulationConfig
+    from ..perf.cache import get_cache
 
-    request, cache, counted = job.request, get_cache(), CacheStats()
-    answer = design = cache.get(job.fingerprint, counted)
-    if design is not None and request.kind == "simulate":
-        result = cache.get(
-            fingerprint_simulate(
-                design, request.sim_config or SimulationConfig(),
-                faults=request.faults,
-            ),
-            counted,
-        )
-        answer = None if result is None else (design, result)
-    if answer is not None:
-        merge_stats(counted)
-    return answer
+    return get_cache().get(job.fingerprint, count_miss=False)
 
 
 def _run_in_thread(
@@ -403,15 +386,13 @@ class CompileService:
             fleet_config = self.config.fleet or FleetConfig.from_env()
             fleet_config.workers = self.config.fleet_workers
             self.fleet = WorkerFleet(fleet_config)
-            # This process answers cache hits itself (see _run), so its
+            # This process answers compile hits itself (see _run), so its
             # memory tier holds designs as a worker's does: bound it the
-            # same way, unless REPRO_CACHE_MEMORY_ENTRIES already did.
+            # same way until shutdown() gives the process its own back.
             from ..perf.cache import configure_cache, get_cache
 
-            if get_cache().memory_limit == 0:
-                configure_cache(
-                    memory_limit=fleet_config.worker_cache_entries
-                )
+            self._process_cache_entries = get_cache().memory_limit
+            configure_cache(memory_limit=fleet_config.worker_cache_entries)
         self.breakers = {
             name: CircuitBreaker(name, self.config.breaker)
             for name in BREAKER_BACKENDS
@@ -1156,10 +1137,10 @@ class CompileService:
             if self.fleet is None:
                 value, entries = _run_in_thread(job, deadline)
             else:
-                # A stored answer needs no worker: this process reads the
+                # A stored design needs no worker: this process reads the
                 # disk tier the workers write, so only a miss pays the
                 # fleet's pipe.
-                value, entries = _stored_answer(job), []
+                value, entries = _stored_design(job), []
                 if value is None:
                     value, entries = self.fleet.run(job, deadline)
         except BaseException as exc:
@@ -1348,6 +1329,10 @@ class CompileService:
             self.fleet.shutdown(timeout_s=5.0 if wait else 2.0)
         if wait:
             self._wait_idle(5.0)
+        if self.fleet is not None:
+            from ..perf.cache import configure_cache
+
+            configure_cache(memory_limit=self._process_cache_entries)
         if self.journal is not None:
             # Release the flock so a successor on the same directory can
             # take over; in-flight completions after this point lose

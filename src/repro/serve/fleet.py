@@ -15,8 +15,8 @@ thread (for the broker, the thread that asked for the request); with
 every worker busy it queues, and the monitor hands it to the first
 worker whose answer it reads.  The monitor's periodic tick
 (``_POLL_S``) is for supervision only.  The broker sends the requests
-its own process's cache cannot answer — misses and journal replays —
-and parallel sweeps send every point.
+its own process's cache cannot answer — compile misses, simulate
+requests and journal replays — and parallel sweeps send every point.
 
 Supervision contract:
 
@@ -133,8 +133,8 @@ class FleetConfig:
     quarantine_threshold: int = 3
     quarantine_cooldown_s: float = 5.0
     #: Per-worker in-memory LRU bound, which the broker's process takes
-    #: too (it answers cache hits itself); the disk tier is the shared
-    #: store.
+    #: too while it serves (it answers compile hits itself); the disk
+    #: tier is the shared store.
     worker_cache_entries: int = 128
     #: How long :meth:`WorkerFleet.drain` waits for in-flight work.
     drain_timeout_s: float = 30.0

@@ -17,8 +17,10 @@ HTTP against a real ``repro serve --fleet 2 --journal-dir`` subprocess:
    pre-crash abuser is shed immediately off the checkpointed quota;
 5. *zero-downtime roll*: ``POST /reload`` recycles both workers behind
    the live front end while background load sees no unexpected 5xx;
-6. *journal overhead*: the mean journal append made by ten keyless
-   cache hits costs < 5 % of their median latency;
+6. *journal overhead*: a latency budget — the mean journal append made
+   by ten keyless cache hits costs < 5 % of their median latency.  It
+   does not count fsyncs: ``TestJournalCost`` in
+   ``tests/test_serve_journal.py`` pins which records are synced;
 7. *SIGINT == SIGTERM*: the final shutdown uses SIGINT and must drain
    cleanly to exit 0.
 

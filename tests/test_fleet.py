@@ -528,36 +528,30 @@ class TestFrontAnswersHits:
         assert cache["misses"] == 1
         assert cache["hits"] == 2
 
-    def test_simulate_dispatches_only_what_is_not_stored(self, fresh_cache):
+    def test_simulate_goes_to_a_worker(self, fresh_cache):
         from repro.serve.broker import CompileService, ServiceConfig
 
         service = self._service()
         simulate = self._request(kind="simulate")
         try:
-            service.execute(self._request())  # stores the design only
+            service.execute(simulate)  # stores the design and the result
             counters = service.fleet.counters
             before = dict(service.health()["cache"], sent=counters["dispatched"])
-            partial = service.execute(simulate)
-            after = dict(service.health()["cache"], sent=counters["dispatched"])
             stored = service.execute(simulate)
-            final = counters["dispatched"]
+            after = dict(service.health()["cache"], sent=counters["dispatched"])
         finally:
             service.shutdown()
-        # The design without its result goes to a worker, which looks
-        # both up and counts them: one hit, one miss, nothing twice.
+        # Only compile hits are answered here; the worker looks up the
+        # design and the result and counts them, once each.
         assert after["sent"] == before["sent"] + 1
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"] + 1
-        # Both stored: answered here.
-        assert final == after["sent"]
+        assert after["hits"] == before["hits"] + 2
+        assert after["misses"] == before["misses"]
         threads = CompileService(ServiceConfig(workers=1))
         try:
             direct = threads.execute(self._request(kind="simulate", use_cache=False))
         finally:
             threads.shutdown()
-        expected = self._document(simulate, direct)
-        assert self._document(simulate, partial) == expected
-        assert self._document(simulate, stored) == expected
+        assert self._document(simulate, stored) == self._document(simulate, direct)
 
     def test_breaker_forced_greedy_still_dispatches(self, fresh_cache):
         service = self._service()
@@ -597,6 +591,7 @@ class TestFrontAnswersHits:
     def test_front_memory_tier_takes_the_worker_bound(self, fresh_cache):
         from tests.conftest import build_chain
 
+        fresh_cache.memory_limit = 5  # the process's own bound
         service = self._service(worker_cache_entries=2)
         requests = [
             self._request(graph=build_chain(length)) for length in (3, 4, 5)
@@ -605,17 +600,12 @@ class TestFrontAnswersHits:
             for request in requests + requests:  # cold, then hits
                 service.execute(request)
             dispatched = service.fleet.counters["dispatched"]
+            assert fresh_cache.memory_limit == 2
+            assert len(fresh_cache._memory) <= 2
         finally:
             service.shutdown()
         assert dispatched == len(requests)
-        assert fresh_cache.memory_limit == 2
-        assert len(fresh_cache._memory) <= 2
         assert fresh_cache.stats.memory_evictions >= 1
-
-    def test_a_bound_set_for_the_process_is_kept(self, fresh_cache):
-        fresh_cache.memory_limit = 5
-        service = self._service(worker_cache_entries=2)
-        service.shutdown()
         assert fresh_cache.memory_limit == 5
 
 
