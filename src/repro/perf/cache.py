@@ -140,8 +140,8 @@ class DesignCache:
     #: LRU bound on the in-process tier; 0 means unbounded (the
     #: historical behaviour, right for one long-lived process that owns
     #: the machine; ``REPRO_CACHE_MEMORY_ENTRIES`` sets one, and fleet
-    #: workers and the serving process in front of them take the
-    #: fleet's).
+    #: workers, and the serving process in front of them while it
+    #: serves, take the fleet's).
     memory_limit: int = 0
     stats: CacheStats = field(default_factory=CacheStats)
     #: Insertion-ordered: first key is least-recently-used.
