@@ -40,7 +40,6 @@ from .fingerprint import (
     fingerprint_compile,
     fingerprint_simulate,
     model_constants_fingerprint,
-    to_jsonable,
 )
 from .journal import (
     RunInfo,
@@ -97,5 +96,4 @@ __all__ = [
     "resolve_jobs",
     "run_sweep",
     "stats_report",
-    "to_jsonable",
 ]

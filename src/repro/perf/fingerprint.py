@@ -12,13 +12,21 @@ on:
 * the full :class:`~repro.core.compiler.CompilerConfig`, including every
   ablation switch and both floorplanner configs;
 * the flow label;
-* the model constants the outputs are computed from: the HLS estimator
-  coefficients, the timing-model calibration, and the network link
-  catalog.  Editing any of those constants changes the fingerprint and
-  therefore invalidates every cached artifact built from them.
+* the model the outputs are computed by: the HLS estimator
+  coefficients, the timing-model calibration, the network link catalog,
+  and a digest of the source files of the packages that compute a
+  design (:data:`_MODEL_PACKAGES`).  Editing any of those constants or
+  files changes the fingerprint and therefore invalidates every cached
+  artifact built from them.
+
+:func:`canonical_json` is one ``json.dumps`` call: the C encoder walks
+the whole document, floats are written as JSON numbers at full
+precision, and a hook gives a shallow form to the few types JSON cannot
+write (enums, topologies, dataclasses, sets, callables).
 
 ``CACHE_SCHEMA_VERSION`` is a manual escape hatch: bump it whenever the
-compiler's *algorithms* change in a way the constant values cannot see.
+key's layout changes, or an output changes in a way neither the
+constants nor the model sources can see.
 """
 
 from __future__ import annotations
@@ -36,28 +44,26 @@ from ..cluster.topology import Topology
 from ..graph.graph import TaskGraph
 from ..graph.serialize import FORMAT_VERSION, design_summary, graph_to_dict
 
-#: Bump on any algorithmic change that alters compile/simulate outputs
-#: without touching a fingerprinted constant.
-CACHE_SCHEMA_VERSION = 1
+#: Bump when the key's layout changes (2: floats written as JSON numbers
+#: by one encoder pass), or on a change to compile/simulate outputs that
+#: neither a fingerprinted constant nor a model source file shows.
+CACHE_SCHEMA_VERSION = 2
 
 
-def to_jsonable(obj: Any) -> Any:
-    """Convert a value tree into a deterministic JSON-able structure.
+def _shallow(obj: Any) -> Any:
+    """The JSON form of one value the encoder cannot write itself.
 
-    Handles dataclasses (including frozen/slots ones), enums, mappings,
-    sequences, and sets.  Floats keep full ``repr`` precision so that two
-    configs differing in the last ulp hash differently; a float subclass
-    (``np.float64``) is written as the plain float of the same value, so
-    a value hashes the same after a JSON round trip.  Unknown object
-    types raise ``TypeError`` — silent fallbacks (like ``repr`` with a
-    memory address) would poison keys with false misses.
+    ``canonical_json`` passes this as ``json.dumps``'s ``default``: the
+    C encoder writes dicts (keys sorted), lists, tuples, strings, ints,
+    floats, bools and ``None`` itself and calls this only for enums,
+    topologies, dataclasses (frozen and slotted ones too), sets and
+    callables.  The form returned is shallow; the encoder recurses into
+    it.  Unknown object types raise ``TypeError`` — silent fallbacks
+    (like ``repr`` with a memory address) would poison keys with false
+    misses.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return repr(float(obj))
     if isinstance(obj, Enum):
-        return {"__enum__": type(obj).__name__, "value": to_jsonable(obj.value)}
+        return {"__enum__": type(obj).__name__, "value": obj.value}
     if isinstance(obj, Topology):
         # The full pairwise distance matrix, not just the name: two
         # same-named topologies with different metrics (a custom subclass,
@@ -75,25 +81,25 @@ def to_jsonable(obj: Any) -> Any:
         return {
             "__dataclass__": type(obj).__name__,
             "fields": {
-                f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
+                f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
             },
         }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
-        return sorted(to_jsonable(v) for v in obj)
+        # Tagged, so a set never shares a key with a list that happens
+        # to hold its elements in sorted order.
+        return {"__set__": sorted(obj)}
     if callable(obj):
         return {"__callable__": getattr(obj, "__qualname__", repr(type(obj)))}
     raise TypeError(f"cannot fingerprint object of type {type(obj).__name__}")
 
 
 def canonical_json(document: Any) -> str:
-    """Serialize a JSON-able document with a canonical byte layout."""
+    """Serialize a document with a canonical byte layout in one pass of
+    the C encoder: keys sorted, every float (``np.float64`` too) written
+    with ``float.__repr__``, other types through :func:`_shallow`.  A
+    dict key JSON cannot write (a tuple, an enum) raises ``TypeError``."""
     return json.dumps(
-        to_jsonable(document), sort_keys=True, separators=(",", ":")
+        document, sort_keys=True, separators=(",", ":"), default=_shallow
     )
 
 
@@ -101,15 +107,21 @@ def _digest(document: Any) -> str:
     return hashlib.sha256(canonical_json(document).encode()).hexdigest()
 
 
-#: Subpackages whose source content determines compile/simulate outputs.
-#: bench/cli/perf are deliberately excluded — harness changes must not
-#: evict compiled artifacts.
+#: Subpackages whose source content determines compile/simulate outputs:
+#: ``ilp`` (the solver and its gap), ``faults`` (how a scenario degrades a
+#: cluster) and ``check`` (the diagnostics stored on a design) shape a
+#: cached artifact too.  analyze/apps/bench/cli/perf/serve are
+#: deliberately excluded — harness changes must not evict compiled
+#: artifacts.
 _MODEL_PACKAGES = (
+    "check",
     "cluster",
     "core",
     "devices",
+    "faults",
     "graph",
     "hls",
+    "ilp",
     "network",
     "sim",
     "timing",
@@ -122,7 +134,7 @@ def _model_source_digest() -> str:
 
     Value-based constant fingerprints cannot see an *algorithm* change,
     so any edit to the behaviour-defining subpackages also invalidates
-    the cache.  Computed once per process (~1 ms)."""
+    the cache.  Computed once per process (a few ms)."""
     root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
     for package in _MODEL_PACKAGES:
@@ -138,8 +150,8 @@ def model_constants_fingerprint() -> str:
     Covers the HLS estimator coefficients, the timing-model defaults, the
     AlveoLink/network link catalog, the serialization format version, and
     a digest of the model-defining source packages.  Cached entries keyed
-    under an older constant set simply stop matching — that is the
-    invalidation rule.
+    under an older constant set or older sources simply stop matching —
+    that is the invalidation rule.
     """
     from ..cluster.links import ETHERNET_100G, INTER_NODE_10G, PCIE_GEN3X16
     from ..hls.estimator import DEFAULT_COEFFICIENTS
@@ -156,6 +168,7 @@ def model_constants_fingerprint() -> str:
             "alveolink": ALVEOLINK,
             "inter_node": INTER_NODE_PATH,
             "links": [ETHERNET_100G, PCIE_GEN3X16, INTER_NODE_10G],
+            "source": _model_source_digest(),
         }
     )
 

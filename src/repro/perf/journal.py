@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from ..errors import JournalError
-from .fingerprint import model_constants_fingerprint, to_jsonable
+from .fingerprint import canonical_json, model_constants_fingerprint
 
 #: Bump when the journal line format changes incompatibly; mismatched
 #: journals are listed but never merged.
@@ -270,11 +270,7 @@ def spec_key(fn: Any, args: tuple = (), kwargs: dict | None = None) -> str:
     to ``repr`` — stable for the value types experiments actually sweep.
     """
     try:
-        payload = json.dumps(
-            to_jsonable({"args": list(args), "kwargs": kwargs or {}}),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        payload = canonical_json({"args": list(args), "kwargs": kwargs or {}})
     except TypeError:
         payload = repr((args, sorted((kwargs or {}).items())))
     identity = f"{getattr(fn, '__module__', '?')}.{getattr(fn, '__qualname__', repr(fn))}"

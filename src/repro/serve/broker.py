@@ -646,7 +646,7 @@ class CompileService:
         if not request.use_cache:
             return None, None
         from ..core.compiler import CompilerConfig
-        from ..perf.fingerprint import canonical_json, fingerprint_compile, to_jsonable
+        from ..perf.fingerprint import canonical_json, fingerprint_compile
 
         try:
             fingerprint = fingerprint_compile(
@@ -660,7 +660,7 @@ class CompileService:
             if request.kind == "simulate":
                 import hashlib
 
-                sim = canonical_json(to_jsonable(request.sim_config))
+                sim = canonical_json(request.sim_config)
                 base += ":" + hashlib.sha256(sim.encode()).hexdigest()[:16]
         except Exception:
             return None, None
@@ -891,7 +891,9 @@ class CompileService:
 
         Order: conflict check (key reused with different content),
         completed-result dedup from the journal, then joining the
-        in-flight leader.  Returns None when the key is fresh.
+        in-flight leader.  Returns None when the key is fresh.  An entry
+        loaded from a WAL of another model has no fingerprint to
+        compare, so it never conflicts.
         """
         if self.journal is not None:
             hit, value, stored_fp = self.journal.lookup(client_key)

@@ -51,8 +51,14 @@ processes can never interleave appends.  Reading is maximally tolerant
 and checksum-mismatched payloads are skipped, never raised); writing
 failures raise :class:`~repro.errors.JournalError`.  A WAL that does
 not start with a readable header of this schema is set aside, never
-merged.  One fold builds the in-memory view, from the file at boot and
-from each record as it is appended.  The file is **compacted** at boot,
+merged.  The header also names the
+:func:`~repro.perf.fingerprint.model_constants_fingerprint` the WAL was
+written under; a WAL of another model (or one whose header names none)
+is loaded with its records' fingerprints dropped, since they are keys
+this process never computes: its retries dedup and join, and only keys
+of one model are compared for a conflict.  One fold builds the
+in-memory view, from the file at boot and from each record as it is
+appended.  The file is **compacted** at boot,
 and on a background thread once a checkpoint finds it past
 :data:`COMPACT_MIN_BYTES` and doubled since the last compaction: a
 fresh file is written with only the live entries (incomplete ones plus
@@ -70,6 +76,7 @@ import time
 from typing import Any, Callable, Sequence
 
 from ..errors import JournalError
+from ..perf.fingerprint import model_constants_fingerprint
 from ..perf.journal import (
     AppendLog,
     decode_blob,
@@ -142,7 +149,8 @@ class JournalEntry:
         #: True when ``idem`` was derived from the content fingerprint
         #: (it then doubles as the broker's single-flight key on replay).
         self.derived: bool = record.get("derived", True)
-        #: The content fingerprint at accept time (conflict detection).
+        #: The content fingerprint at accept time (conflict detection);
+        #: None when the WAL was written under another model.
         self.fp: str | None = record.get("fp")
         self.tenant: str = record.get("tenant", "")
         self.cls: str = record.get("class", "batch")
@@ -174,6 +182,7 @@ def disabled_health(path: str | None, error: str | None) -> dict:
         "dedup_entries": 0,
         "dedup_hits": 0,
         "appends": 0,
+        "synced_appends": 0,
         "append_failures": 0,
         "checkpoints": 0,
         "append_wall_s": 0.0,
@@ -228,6 +237,7 @@ class ServeJournal:
             "unreplayable_at_boot": 0,
             "dedup_hits": 0,
             "appends": 0,
+            "synced_appends": 0,
             "append_failures": 0,
             "checkpoints": 0,
             "append_wall_s": 0.0,
@@ -280,6 +290,7 @@ class ServeJournal:
         # One result stored under several keys (a flight's followers)
         # is held once, as it was while serving.
         blobs: dict[str, bytes] = {}
+        foreign = False
         for index, record in enumerate(records):
             if index == 0 and (
                 record.get("kind") != "header"
@@ -293,6 +304,14 @@ class ServeJournal:
                 except OSError:
                     pass
                 return
+            if index == 0:
+                # Another model's fingerprints (or those of a header that
+                # names none) are keys this process never computes, so
+                # they cannot show that a retry's content differs: its
+                # entries fold, and are compacted, without them.
+                foreign = record.get("model") != model_constants_fingerprint()
+            elif foreign:
+                record.pop("fp", None)
             if "payload" in record:
                 payload = decode_blob(record)
                 if payload is None:
@@ -428,6 +447,7 @@ class ServeJournal:
         return {
             "kind": "header",
             "schema": SERVE_JOURNAL_SCHEMA,
+            "model": model_constants_fingerprint(),
             "created_unix": self._clock(),
         }
 
@@ -451,6 +471,8 @@ class ServeJournal:
             for record in records:
                 self._fold(record)
             self.counters["appends"] += len(records)
+            if sync:
+                self.counters["synced_appends"] += len(records)
             self.counters["append_wall_s"] += time.monotonic() - start
 
     def record_accepted(
@@ -662,6 +684,7 @@ class ServeJournal:
             "dedup_entries": dedup,
             "dedup_hits": counters["dedup_hits"],
             "appends": counters["appends"],
+            "synced_appends": counters["synced_appends"],
             "append_failures": counters["append_failures"],
             "checkpoints": counters["checkpoints"],
             "append_wall_s": round(counters["append_wall_s"], 6),

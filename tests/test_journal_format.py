@@ -103,7 +103,10 @@ def test_serve_wal_format(tmp_path):
         "class": "batch", "deadline_s": None, "created_unix": 1000.0,
     }
     _write(path, [
-        _line({"kind": "header", "schema": 1, "created_unix": 1000.0}),
+        _line({
+            "kind": "header", "schema": 1,
+            "model": model_constants_fingerprint(), "created_unix": 1000.0,
+        }),
         # In flight, dispatched: replayed with its original metadata.
         _line({
             **accepted, "id": "a", "idem": "key-a", "fp": "fp-a",
@@ -164,6 +167,12 @@ def test_serve_wal_format(tmp_path):
 
     journal = ServeJournal(str(directory), ttl_s=3600, clock=lambda: 1005.0)
     try:
+        # The boot compaction wrote a fresh header.
+        with open(path, encoding="utf-8") as handle:
+            assert handle.readline().rstrip("\n") == _line({
+                "kind": "header", "schema": 1,
+                "model": model_constants_fingerprint(), "created_unix": 1005.0,
+            })
         assert journal.counters["incomplete_at_boot"] == 2  # a and f
         assert journal.restore_state() == {
             "kind": "checkpoint", "time_unix": 1002.0,

@@ -7,10 +7,18 @@ model-constant invalidation, and serial/parallel sweep parity.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import subprocess
 import sys
+from enum import Enum
+from typing import Any
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import make_cluster, paper_testbed
 from repro.cluster.topology import make_topology
@@ -32,7 +40,7 @@ from repro.perf import (
 )
 from repro.sim.execution import SimulationConfig, simulate
 
-from tests.conftest import build_diamond
+from tests.conftest import build_chain, build_diamond
 
 
 @pytest.fixture
@@ -152,6 +160,49 @@ class TestFingerprint:
     def test_canonical_json_sorts_dict_keys(self, cache):
         assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
 
+    def test_a_float_hint_and_its_text_are_distinct_keys(self, cache):
+        # The recursive walk this encoder replaced wrote every float as
+        # its repr string, so 0.5 and "0.5" shared a key.
+        keys = []
+        for hint in (0.5, "0.5"):
+            graph = build_diamond()
+            graph.task("a").hints["ratio"] = hint
+            keys.append(fingerprint_compile(
+                graph, make_cluster(2), CompilerConfig(), "tapa-cs"
+            ))
+        assert keys[0] != keys[1]
+
+    def test_model_sources_join_the_model_key(self, cache, monkeypatch):
+        """Editing a model-defining source file unreaches every old key."""
+        import repro.perf.fingerprint as fingerprint_module
+
+        before = model_constants_fingerprint()
+        monkeypatch.setattr(
+            fingerprint_module, "_model_source_digest", lambda: "edited"
+        )
+        assert model_constants_fingerprint() != before
+
+    def test_hook_calls_do_not_grow_with_the_graph(self, cache, monkeypatch):
+        """The C encoder walks the graph document; the hook sees only the
+        few values JSON cannot write (config, cluster, model constants)."""
+        import repro.perf.fingerprint as fingerprint_module
+
+        calls = []
+        real = fingerprint_module._shallow
+
+        def counting(obj):
+            calls.append(type(obj).__name__)
+            return real(obj)
+
+        monkeypatch.setattr(fingerprint_module, "_shallow", counting)
+        cluster, config = make_cluster(2), CompilerConfig()
+        counts = []
+        for length in (6, 12):
+            calls.clear()
+            fingerprint_compile(build_chain(length), cluster, config, "tapa-cs")
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_graph_document_order_is_significant(self, cache):
         # Insertion order can steer solver tie-breaking, so it is part of
         # the key: same content, different order, different fingerprint.
@@ -184,6 +235,183 @@ class TestFingerprint:
         assert fingerprint_compile(
             copy, cluster, CompilerConfig(), "tapa-cs"
         ) == fingerprint_compile(graph, cluster, CompilerConfig(), "tapa-cs")
+
+
+def _walk(obj: Any) -> Any:
+    """The recursive walk that preceded the one-pass encoder, kept as the
+    reference ``canonical_json`` is checked against: it wrote floats as
+    repr strings and dict keys as ``str``."""
+    from repro.cluster.topology import Topology
+
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return repr(float(obj))
+    if isinstance(obj, Enum):
+        return {"__enum__": type(obj).__name__, "value": _walk(obj.value)}
+    if isinstance(obj, Topology):
+        return {
+            "__topology__": obj.name,
+            "num_devices": obj.num_devices,
+            "dist": [
+                [obj.dist(i, j) for j in range(obj.num_devices)]
+                for i in range(obj.num_devices)
+            ],
+        }
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            "__dataclass__": type(obj).__name__,
+            "fields": {
+                f.name: _walk(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+            },
+        }
+    if isinstance(obj, dict):
+        return {
+            str(k): _walk(v)
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_walk(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(_walk(v) for v in obj)
+    if callable(obj):
+        return {"__callable__": getattr(obj, "__qualname__", repr(type(obj)))}
+    raise TypeError(f"cannot fingerprint object of type {type(obj).__name__}")
+
+
+def _walked_json(document: Any) -> str:
+    return json.dumps(_walk(document), sort_keys=True, separators=(",", ":"))
+
+
+class _Mode(Enum):
+    FAST = 1
+    EXACT = "exact"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Knob:
+    name: Any
+    value: Any
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 2.0, 10.0, math.nan, math.inf]),
+    st.floats(),
+)
+#: A small domain, so that independent documents often encode alike.
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 12),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.sampled_from(["", "0.5", "nan", "-0.0", "2", "true", "a"]),
+    st.sampled_from(list(_Mode)),
+    st.frozensets(st.integers(-2, 12), max_size=3),
+    st.sets(st.sampled_from([0.5, 2.0, 10.0]), max_size=3),
+    st.sets(st.sampled_from(["a", "b", "10", "2"]), max_size=3),
+)
+#: JSON object keys are strings; the encoder writes an int key as its
+#: decimal text, as ``str`` did.
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.sampled_from(["a", "b", "0.5", "2"]), inner, max_size=3),
+        st.dictionaries(st.integers(0, 12), inner, max_size=3),
+        st.builds(_Knob, inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+def _near(obj: Any) -> st.SearchStrategy:
+    """Documents that differ from ``obj`` only where two encodings may
+    meet: a set or its sorted list, a float or its repr text, an int
+    dict key or its text, a tuple or a list."""
+    if isinstance(obj, (set, frozenset)):
+        return st.sampled_from([obj, sorted(obj)])
+    if isinstance(obj, float):
+        return st.sampled_from([obj, float(obj), repr(float(obj))])
+    if isinstance(obj, (list, tuple)):
+        return st.tuples(*map(_near, obj)).flatmap(
+            lambda items: st.sampled_from([list(items), tuple(items)])
+        )
+    if isinstance(obj, dict):
+        keys = list(obj)
+        return st.tuples(
+            st.tuples(*(st.sampled_from([k, str(k)]) for k in keys)),
+            st.tuples(*(_near(obj[k]) for k in keys)),
+        ).map(lambda pair: dict(zip(*pair)))
+    if isinstance(obj, _Knob):
+        return st.builds(_Knob, _near(obj.name), _near(obj.value))
+    return st.just(obj)
+
+
+def _retyped(obj: Any) -> Any:
+    """The same document with each value swapped for one the encoder
+    writes alike: tuples as lists, numpy floats as floats."""
+    if isinstance(obj, float):
+        return float(obj) if isinstance(obj, np.float64) else np.float64(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_retyped(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _retyped(v) for k, v in obj.items()}
+    if isinstance(obj, _Knob):
+        return _Knob(_retyped(obj.name), _retyped(obj.value))
+    return obj
+
+
+class TestCanonicalJson:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_encoding_never_merges_two_walked_ones(self, data):
+        """No two documents share a key that the walk kept apart."""
+        a = data.draw(_DOCUMENTS)
+        b = data.draw(st.one_of(_near(a), _DOCUMENTS))
+        try:
+            same = canonical_json(a) == canonical_json(b)
+        except TypeError:  # such a request is served uncached
+            return
+        if same:
+            assert _walked_json(a) == _walked_json(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS)
+    def test_values_written_alike_share_a_key(self, document):
+        try:
+            text = canonical_json(document)
+        except TypeError:
+            return
+        assert canonical_json(_retyped(document)) == text
+        assert _walked_json(_retyped(document)) == _walked_json(document)
+
+    def test_floats_are_numbers_at_full_precision(self):
+        assert canonical_json(
+            [0.1, -0.0, np.float64(1 / 3), math.nan, math.inf]
+        ) == "[0.1,-0.0,0.3333333333333333,NaN,Infinity]"
+
+    def test_unknown_types_and_keys_raise(self):
+        with pytest.raises(TypeError):
+            canonical_json({"x": object()})
+        with pytest.raises(TypeError):
+            canonical_json({(1, 2): "tuple key"})
+        with pytest.raises(TypeError):
+            canonical_json({_Mode.FAST: "enum key"})
+
+    def test_spec_key_falls_back_to_repr(self):
+        from repro.perf import spec_key
+
+        class Opaque:
+            def __repr__(self) -> str:
+                return "Opaque()"
+
+        key = spec_key(_sweep_probe, (Opaque(),), {"n": 1})
+        assert key == spec_key(_sweep_probe, (Opaque(),), {"n": 1})
+        assert len(key) == 64
+        assert key != spec_key(_sweep_probe, (1,), {"n": 1})
 
 
 def _strip_wall_clock(summary: dict) -> dict:

@@ -788,7 +788,8 @@ class TestJournalHealthSchema:
         "enabled", "path", "error",
         "replayed_at_boot", "incomplete_at_boot", "unreplayable_at_boot",
         "live_entries", "dedup_entries", "dedup_hits",
-        "appends", "append_failures", "checkpoints", "append_wall_s",
+        "appends", "synced_appends", "append_failures", "checkpoints",
+        "append_wall_s",
     }
 
     def test_disabled_shape(self):
@@ -814,7 +815,8 @@ class TestJournalHealthSchema:
                 isinstance(doc[key], int) for key in (
                     "replayed_at_boot", "incomplete_at_boot",
                     "unreplayable_at_boot", "live_entries", "dedup_entries",
-                    "dedup_hits", "appends", "append_failures", "checkpoints",
+                    "dedup_hits", "appends", "synced_appends",
+                    "append_failures", "checkpoints",
                 )
             )
         finally:

@@ -732,6 +732,104 @@ class TestBrokerIdempotency:
             service.shutdown(wait=False)
 
 
+def _keyed_entry(directory, key: str, request, done=None) -> None:
+    """Journal one client-keyed entry under a fingerprint this process
+    never computes; with ``done``, close it with that stored result."""
+    journal = ServeJournal(str(directory), ttl_s=3600)
+    entry_id = journal.new_entry_id()
+    journal.record_accepted(
+        entry_id, request, idem=key, derived=False, fp="compile:older-key",
+        tenant="acme", cls="batch", deadline_s=None,
+    )
+    if done is not None:
+        journal.record_done(entry_id, done)
+    journal.close()
+
+
+def _header_names_no_model(directory) -> None:
+    """Rewrite the WAL's header as every broker wrote it before headers
+    named the model."""
+    path = os.path.join(str(directory), journal_module.WAL_NAME)
+    with open(path, encoding="utf-8") as handle:
+        header, *rest = handle.read().splitlines(keepends=True)
+    fields = json.loads(header)
+    fields.pop("model", None)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines([json.dumps(fields) + "\n", *rest])
+
+
+class TestKeysAcrossModels:
+    """A content fingerprint is a key of one model: a WAL written under
+    another (a schema bump, an edited model source) holds keys this
+    broker never computes, so a client's retry across the change must
+    still dedup or join instead of being refused as a conflict."""
+
+    def test_a_done_key_from_another_model_dedups(self, tmp_path, fresh_cache):
+        directory = tmp_path / "journal"
+        _keyed_entry(directory, "job-13", {"req": 13}, done={"answer": 42})
+        _header_names_no_model(directory)
+        service = _service(directory)
+        try:
+            assert service.execute(
+                _request(idempotency_key="job-13")
+            ) == {"answer": 42}
+            assert service.counters["dedup_hits"] == 1
+            assert service.counters["idem_conflicts"] == 0
+            assert service.counters["completed"] == 0
+        finally:
+            service.shutdown(wait=False)
+        # The boot compaction rewrote the WAL under this model, without
+        # the old fingerprint: a successor dedups too.
+        with open(service.journal.path, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert records[0]["model"] == journal_module.model_constants_fingerprint()
+        assert all("fp" not in record for record in records[1:])
+
+    def test_an_inflight_key_from_another_model_is_joined(
+        self, tmp_path, fresh_cache, monkeypatch
+    ):
+        import repro.perf.cache as cache_module
+
+        release = threading.Event()
+        real = cache_module.cached_compile
+        calls = []
+
+        def held_compile(*args, **kwargs):
+            calls.append(1)
+            release.wait(timeout=30.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "cached_compile", held_compile)
+        directory = tmp_path / "journal"
+        _keyed_entry(directory, "job-14", _request(idempotency_key="job-14"))
+        _header_names_no_model(directory)
+        service = _service(directory)
+        try:
+            assert service.counters["replayed"] == 1
+            retry = service.submit(_request(idempotency_key="job-14"))
+            assert service.counters["idem_joined"] == 1
+            assert service.counters["idem_conflicts"] == 0
+            release.set()
+            assert retry.result(timeout=30.0) is not None
+            assert len(calls) == 1
+        finally:
+            release.set()
+            service.shutdown(wait=False)
+
+    def test_a_same_model_key_with_other_content_still_conflicts(
+        self, tmp_path, fresh_cache
+    ):
+        directory = tmp_path / "journal"
+        _keyed_entry(directory, "job-15", {"req": 15}, done={"answer": 42})
+        service = _service(directory)
+        try:
+            with pytest.raises(IdempotencyConflictError):
+                service.execute(_request(idempotency_key="job-15"))
+            assert service.counters["idem_conflicts"] == 1
+        finally:
+            service.shutdown(wait=False)
+
+
 # ---------------------------------------------------------------------------
 # What the journal pays for: fsync only behind a promise
 # ---------------------------------------------------------------------------
@@ -791,6 +889,8 @@ class TestJournalCost:
             assert fsyncs["done"] == 1
             assert fsyncs["accepted"] == 0
             assert fsyncs["dispatched"] == 0
+            health = service.journal.health()
+            assert health["synced_appends"] == health["checkpoints"] + 1
         finally:
             service.shutdown(wait=False)
 
@@ -851,6 +951,7 @@ class TestJournalCost:
             service.execute(_request())
             # Read before shutdown closes (and flushes) the file.
             records = _wal_records(service.journal.path)
+            health = service.journal.health()
         finally:
             service.shutdown(wait=False)
         kinds = [r["kind"] for r in records if r["kind"] != "checkpoint"]
@@ -858,6 +959,8 @@ class TestJournalCost:
         [done] = [r for r in records if r["kind"] == "done"]
         assert "payload" not in done
         assert fsyncs["accepted"] == fsyncs["done"] == 0
+        # Health counts the same: only the checkpoints were synced.
+        assert health["synced_appends"] == health["checkpoints"] > 0
         reopened = ServeJournal(str(tmp_path / "journal"), ttl_s=3600)
         try:
             assert reopened.take_incomplete() == []
