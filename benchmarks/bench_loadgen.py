@@ -14,7 +14,12 @@ serving layer's fairness promises hold:
    queue-full shed storm), the well-behaved tenants' p99 must stay
    within 2x the uncontended baseline (with a small absolute floor so
    scheduler-jitter on a ~10 ms cache hit cannot flake the bound), and
-   their goodput must stay within 10 % of their uncontended rate;
+   their goodput must stay within 10 % of their uncontended rate.
+   Phases 1 and 2 run ``ROUNDS`` times each, interleaved, and both
+   bounds compare the medians over the rounds.  Each closed loop is long
+   enough to span the abuser's shedding, not only its in-quota burst:
+   a loop of a tenth of a second measures the host's noise more than
+   the service's fairness;
 3. *thundering herd*: every client submits the identical body; >= 80 %
    of the duplicates must be absorbed by single-flight coalescing or
    the shared artifact cache;
@@ -32,6 +37,7 @@ import pathlib
 import shutil
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -44,14 +50,19 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.bench.record import emit_bench_record  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
-    TenantLoad,
     build_scenario,
     http_poster,
     run_scenario,
 )
 
 WELL_TENANTS = 3
-WELL_REQUESTS = 12
+#: Each well-behaved closed loop: about a second of cache hits on a
+#: 2-vCPU host, so that neither the host's noise nor the abuser's
+#: in-quota burst (4 requests at its start) decides a phase's goodput.
+WELL_REQUESTS = 100
+#: Rounds of phases 1 and 2, interleaved with their order alternating,
+#: so that a slow stretch of the host lands on both phases alike.
+ROUNDS = 3
 #: The abuser's configured quota (req/s) and its offered rate (~10x).
 ABUSER_QUOTA_RPS = 2.0
 ABUSER_OFFERED_RPS = 20.0
@@ -97,6 +108,18 @@ def well_stats(document) -> dict:
         ),
         "ok": sum(stats["ok"] for stats in tenants.values()),
         "sent": sum(stats["sent"] for stats in tenants.values()),
+    }
+
+
+def phase_stats(documents) -> dict:
+    """The well-behaved tenants over every round of one phase: request
+    totals, and the median of the rounds' p99 and goodput."""
+    rounds = [well_stats(document) for document in documents]
+    return {
+        "p99_s": statistics.median(r["p99_s"] for r in rounds),
+        "goodput_rps": statistics.median(r["goodput_rps"] for r in rounds),
+        "ok": sum(r["ok"] for r in rounds),
+        "sent": sum(r["sent"] for r in rounds),
     }
 
 
@@ -148,14 +171,29 @@ def bench(cache_dir: str) -> int:
         if status != 200:
             failures.append(f"warmup compile failed: {status} {payload}")
 
-        # -- phase 1: uncontended baseline ------------------------------
-        baseline_doc = run_scenario(
-            build_scenario("burst", tenants=WELL_TENANTS,
-                           requests=WELL_REQUESTS),
-            post,
-            health=lambda: get_health(port),
-        )
-        baseline = well_stats(baseline_doc)
+        # -- phases 1 and 2, interleaved ---------------------------------
+        scenarios = {
+            # Phase 1: the well-behaved tenants alone.
+            "burst": build_scenario(
+                "burst", tenants=WELL_TENANTS, requests=WELL_REQUESTS
+            ),
+            # Phase 2: the same tenants beside one at ~10x its quota.
+            "abusive": build_scenario(
+                "abusive", tenants=WELL_TENANTS, requests=WELL_REQUESTS,
+                abusive_rate_rps=ABUSER_OFFERED_RPS,
+            ),
+        }
+        documents = {name: [] for name in scenarios}
+        for index in range(ROUNDS):
+            order = ["burst", "abusive"] if index % 2 == 0 else [
+                "abusive", "burst",
+            ]
+            for name in order:
+                documents[name].append(run_scenario(
+                    scenarios[name], post, health=lambda: get_health(port),
+                ))
+
+        baseline = phase_stats(documents["burst"])
         if baseline["ok"] != baseline["sent"]:
             failures.append(
                 f"uncontended phase shed well-behaved requests: {baseline}"
@@ -167,17 +205,17 @@ def bench(cache_dir: str) -> int:
             baseline["goodput_rps"],
         ])
 
-        # -- phase 2: one abusive tenant at ~10x its quota --------------
-        abusive_doc = run_scenario(
-            build_scenario(
-                "abusive", tenants=WELL_TENANTS, requests=WELL_REQUESTS,
-                abusive_rate_rps=ABUSER_OFFERED_RPS,
-            ),
-            post,
-            health=lambda: get_health(port),
-        )
-        contended = well_stats(abusive_doc)
-        abuser = abusive_doc["tenants"]["abuser"]
+        contended = phase_stats(documents["abusive"])
+        abuser = {
+            key: sum(
+                document["tenants"]["abuser"][key]
+                for document in documents["abusive"]
+            )
+            for key in (
+                "sent", "shed", "quota_shed", "other_errors",
+                "transport_errors",
+            )
+        }
 
         shed_ok = True
         if abuser["shed"] == 0:
@@ -198,7 +236,7 @@ def bench(cache_dir: str) -> int:
         if contended["p99_s"] > p99_bound:
             fairness_ok = False
             failures.append(
-                f"well-behaved p99 {contended['p99_s'] * 1e3:.1f} ms "
+                f"well-behaved median p99 {contended['p99_s'] * 1e3:.1f} ms "
                 f"exceeds 2x the uncontended baseline "
                 f"({baseline['p99_s'] * 1e3:.1f} ms, bound "
                 f"{p99_bound * 1e3:.1f} ms)"
@@ -212,7 +250,8 @@ def bench(cache_dir: str) -> int:
         if contended["goodput_rps"] < goodput_floor:
             fairness_ok = False
             failures.append(
-                f"well-behaved goodput {contended['goodput_rps']:.2f} rps "
+                f"well-behaved median goodput "
+                f"{contended['goodput_rps']:.2f} rps "
                 f"fell below 90% of the uncontended "
                 f"{baseline['goodput_rps']:.2f} rps"
             )

@@ -93,7 +93,7 @@ class CompilerConfig:
     #: Per-task wall-clock budget for the parallel synthesis step; a task
     #: that exceeds it raises :class:`~repro.errors.SynthesisTimeoutError`
     #: naming the task instead of hanging the whole compile.  ``None``
-    #: defers to ``REPRO_SYNTH_TIMEOUT_S`` (unset means unlimited).
+    #: and ``0`` mean unlimited.
     synthesis_task_timeout_s: float | None = None
     #: Best floorplan quality tier the ladder may attempt (see
     #: :mod:`repro.core.ladder`).  ``"full"`` is the normal flow; a lower

@@ -9,7 +9,6 @@ cheap, but the structure — and the per-task report — is the same).
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -53,22 +52,13 @@ DEFAULT_PARALLEL_THRESHOLD = 16
 
 
 def _resolve_task_timeout(task_timeout_s: float | None) -> float | None:
-    """Effective per-task budget: argument > REPRO_SYNTH_TIMEOUT_S > none.
+    """The effective per-task budget.
 
     ``0`` and ``None`` both mean *disabled* — the same convention the ILP
     budget and the simulation watchdog use — so a config can switch any
     stage timeout off with either spelling.
     """
-    if task_timeout_s is not None:
-        return task_timeout_s if task_timeout_s > 0 else None
-    raw = os.environ.get("REPRO_SYNTH_TIMEOUT_S", "")
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
+    return task_timeout_s if task_timeout_s and task_timeout_s > 0 else None
 
 
 def synthesize(
@@ -93,11 +83,12 @@ def synthesize(
             same design (e.g. the pre-communication-insertion graph);
             tasks whose resources are already profiled reuse their record
             instead of rebuilding it, so a retry only touches new tasks.
-        task_timeout_s: per-task wall-clock budget (default
-            ``REPRO_SYNTH_TIMEOUT_S``; unset means unlimited).  A task
-            that runs past it raises
-            :class:`~repro.errors.SynthesisTimeoutError` naming the task
-            instead of wedging the whole compile.  On the thread-pool
+        task_timeout_s: per-task wall-clock budget (``0`` and ``None``,
+            the default, mean unlimited).  A task that runs past it
+            raises :class:`~repro.errors.SynthesisTimeoutError` naming
+            the task instead of wedging the whole compile.  The compiler
+            passes ``CompilerConfig.synthesis_task_timeout_s``, which is
+            part of the compile's cache key.  On the thread-pool
             path the wait is abandoned immediately; on the serial path
             the overrun is detected after the task returns (an in-line
             call cannot be preempted).

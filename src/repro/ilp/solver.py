@@ -24,20 +24,14 @@ floorplanning helper; see :func:`drain_solve_log`.  The log is
 thread-local because the compile service runs concurrent compiles on
 the threads that asked for them, each of which drains its own solves.
 
-For chaos testing, ``REPRO_CHAOS_WEDGE_ILP_S=<seconds>`` makes every
-``solve()`` call hold the caller for that long and then fail with
-:class:`SolverError`, simulating a wedged solver backend;
-``REPRO_CHAOS_WEDGE_ILP_COUNT=<n>`` limits the wedge to the first *n*
-solves of the process so breaker-recovery (open -> half-open -> closed)
-can be observed end to end.
+``solve()`` reads no environment: a chaos test that needs a wedged
+solver replaces ``solve`` in the modules that imported it, and the
+fleet workers a process forks inherit the replacement.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
-import time
 
 from ..deadline import current_deadline
 from ..errors import SolverError
@@ -51,9 +45,6 @@ BACKENDS = ("scipy", "branch-bound")
 #: Per-thread record of completed solves: (winning backend, solve seconds,
 #: True when the branch-and-bound fallback rescued a failed primary).
 _THREAD_STATE = threading.local()
-
-#: Process-wide count of solve() calls, for the chaos wedge budget.
-_WEDGE_COUNTER = itertools.count()
 
 
 def _solve_log() -> list[tuple[str, float, bool]]:
@@ -93,30 +84,6 @@ def _effective_time_limit(time_limit: float | None) -> float | None:
     return time_limit
 
 
-def _chaos_wedge(time_limit: float | None) -> None:
-    """Honour the injected-wedge knobs (chaos testing only)."""
-    raw = os.environ.get("REPRO_CHAOS_WEDGE_ILP_S", "")
-    if not raw:
-        return
-    try:
-        wedge_s = float(raw)
-    except ValueError:
-        return
-    count_raw = os.environ.get("REPRO_CHAOS_WEDGE_ILP_COUNT", "")
-    if count_raw:
-        try:
-            if next(_WEDGE_COUNTER) >= int(count_raw):
-                return  # wedge budget spent: the backend has "recovered"
-        except ValueError:
-            pass
-    hold = wedge_s if time_limit is None else min(wedge_s, time_limit)
-    if hold > 0:
-        time.sleep(hold)
-    raise SolverError(
-        f"chaos: ILP backend wedged for {hold:g}s by REPRO_CHAOS_WEDGE_ILP_S"
-    )
-
-
 def solve(
     model: Model,
     backend: str = "scipy",
@@ -141,7 +108,6 @@ def solve(
             expired.
     """
     time_limit = _effective_time_limit(time_limit)
-    _chaos_wedge(time_limit)
     if backend == "branch-bound":
         return _record(
             solve_with_branch_and_bound(model, time_limit=time_limit), False

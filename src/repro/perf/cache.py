@@ -18,13 +18,12 @@ behind (``python -m repro perf --clear`` reclaims the space).
 
 Set ``REPRO_NO_CACHE=1`` (or pass ``--no-cache`` to the CLI) to bypass
 the cache entirely; set ``REPRO_CACHE_MEMORY_ONLY=1`` to keep the
-in-process tier but skip the disk.  ``REPRO_CACHE_MEMORY_ENTRIES=N``
-bounds the in-process tier to an N-entry LRU (0, the default, means
-unbounded) — fleet worker processes, and the serving process in front
-of them while it serves, take the fleet's bound instead
-(``REPRO_FLEET_CACHE_ENTRIES``), so the processes sharing a machine
-hold small LRUs over one shared disk tier instead of unbounded
-dictionaries.
+in-process tier but skip the disk.  The in-process tier is unbounded
+unless :func:`configure_cache` gives it an N-entry LRU bound: fleet
+worker processes, and the serving process in front of them while it
+serves, take the fleet's bound (``FleetConfig.worker_cache_entries``,
+128), so the processes sharing a machine hold small LRUs over one
+shared disk tier instead of unbounded dictionaries.
 
 **Sharing.**  The disk tier is the *cross-worker artifact store*: any
 number of processes — parallel sweeps, the serve fleet's workers, a
@@ -139,9 +138,8 @@ class DesignCache:
     use_disk: bool = True
     #: LRU bound on the in-process tier; 0 means unbounded (the
     #: historical behaviour, right for one long-lived process that owns
-    #: the machine; ``REPRO_CACHE_MEMORY_ENTRIES`` sets one, and fleet
-    #: workers, and the serving process in front of them while it
-    #: serves, take the fleet's).
+    #: the machine; fleet workers, and the serving process in front of
+    #: them while it serves, take the fleet's).
     memory_limit: int = 0
     stats: CacheStats = field(default_factory=CacheStats)
     #: Insertion-ordered: first key is least-recently-used.
@@ -386,13 +384,6 @@ class DesignCache:
 _GLOBAL_CACHE: DesignCache | None = None
 
 
-def _env_memory_limit() -> int:
-    try:
-        return max(0, int(os.environ.get("REPRO_CACHE_MEMORY_ENTRIES", "0")))
-    except ValueError:
-        return 0
-
-
 def _after_fork_in_child() -> None:
     # A forked fleet worker (serving or sweeping) must not share
     # the parent's mutable cache state: its memory dict was built under
@@ -425,7 +416,6 @@ def get_cache() -> DesignCache:
             directory=default_cache_dir(),
             enabled=not _env_flag("REPRO_NO_CACHE"),
             use_disk=not _env_flag("REPRO_CACHE_MEMORY_ONLY"),
-            memory_limit=_env_memory_limit(),
         )
     return _GLOBAL_CACHE
 

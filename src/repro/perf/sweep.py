@@ -47,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..errors import SweepInterrupted
+from ..errors import SweepInterrupted, TapaCSError
 from .journal import RunJournal, current_journal, spec_key
 from .supervise import BackoffPolicy
 
@@ -124,33 +124,26 @@ class SweepOutcome:
         return not self.failed and not self.partial
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """The effective worker count: argument > REPRO_BENCH_JOBS > 1."""
-    if jobs is None:
-        raw = os.environ.get("REPRO_BENCH_JOBS", "")
-        try:
-            jobs = int(raw) if raw else 1
-        except ValueError:
-            jobs = 1
-    return max(1, jobs)
+def env_int(name: str, default: int) -> int:
+    """An integer environment variable; unset or empty means ``default``.
 
-
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = os.environ.get(name, "")
+    The one integer parser for the ``REPRO_*`` variables (this module's
+    ``REPRO_BENCH_JOBS`` and the service's sizes).  A value that is not
+    an integer raises :class:`~repro.errors.TapaCSError` naming the
+    variable and the value, rather than running with the default.
+    """
+    raw = os.environ.get(name, "").strip()
     if not raw:
         return default
     try:
-        return float(raw)
+        return int(raw)
     except ValueError:
-        return default
+        raise TapaCSError(f"{name}={raw!r} is not an integer") from None
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
+def resolve_jobs(jobs: int | None = None) -> int:
+    """The effective worker count: argument > REPRO_BENCH_JOBS > 1."""
+    return max(1, env_int("REPRO_BENCH_JOBS", 1) if jobs is None else jobs)
 
 
 def _run_spec(
@@ -258,22 +251,20 @@ def run_sweep_outcome(
     *,
     journal: RunJournal | None = None,
     timeout_s: float | None = None,
-    retries: int | None = None,
-    backoff_base_s: float | None = None,
+    retries: int = 2,
+    backoff_base_s: float = 0.1,
 ) -> SweepOutcome:
     """Run every spec under supervision and return the full outcome.
 
     Args:
         journal: run journal to resume from / record into; defaults to
             the process-wide active journal (set by ``repro bench``).
-        timeout_s: per-job wall-clock budget (default
-            ``REPRO_SWEEP_TIMEOUT_S``, unset means no timeout);
-            enforced only on the parallel path.
+        timeout_s: per-job wall-clock budget (None, the default, means
+            no timeout); enforced only on the parallel path.
         retries: re-runs allowed per point after its first failure
-            (default ``REPRO_SWEEP_RETRIES`` or 2, i.e. 3 attempts).
-        backoff_base_s: first-retry backoff (default
-            ``REPRO_SWEEP_RETRY_BASE`` or 0.1s), doubling per attempt
-            with +-25% jitter.
+            (default 2, i.e. 3 attempts).
+        backoff_base_s: first-retry backoff (default 0.1s), doubling
+            per attempt with +-25% jitter.
 
     SIGINT/SIGTERM during the sweep raise
     :class:`~repro.errors.SweepInterrupted` after the workers are torn
@@ -283,17 +274,7 @@ def run_sweep_outcome(
     specs = list(specs)
     jobs = resolve_jobs(jobs)
     journal = journal if journal is not None else current_journal()
-    timeout_s = timeout_s if timeout_s is not None else _env_float(
-        "REPRO_SWEEP_TIMEOUT_S", None
-    )
-    max_attempts = 1 + (
-        retries if retries is not None else _env_int("REPRO_SWEEP_RETRIES", 2)
-    )
-    backoff = (
-        backoff_base_s
-        if backoff_base_s is not None
-        else _env_float("REPRO_SWEEP_RETRY_BASE", 0.1)
-    )
+    max_attempts = 1 + retries
 
     outcome = SweepOutcome(results=[None] * len(specs))
     keys = [spec.content_key() for spec in specs]
@@ -315,7 +296,7 @@ def run_sweep_outcome(
 
     driver = _Driver(
         outcome, journal, max_attempts,
-        BackoffPolicy(base_s=max(0.0, backoff)),
+        BackoffPolicy(base_s=max(0.0, backoff_base_s)),
     )
     with _deliver_sigterm_as_interrupt():
         try:
@@ -464,7 +445,7 @@ def run_sweep(
     *,
     journal: RunJournal | None = None,
     timeout_s: float | None = None,
-    retries: int | None = None,
+    retries: int = 2,
 ) -> list[Any]:
     """Run every spec and return their results in submission order.
 

@@ -73,6 +73,7 @@ from ..errors import (
     SynthesisError,
     WorkerCrashError,
 )
+from ..perf.sweep import env_int
 from .breaker import OPEN, BreakerConfig, CircuitBreaker
 from .brownout import BrownoutConfig, BrownoutController
 from .fleet import FleetConfig, WorkerFleet
@@ -88,20 +89,6 @@ REQUEST_CLASSES = ("interactive", "batch")
 
 #: Backends guarded by circuit breakers.
 BREAKER_BACKENDS = ("ilp", "synthesis", "sim")
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 @dataclass(slots=True)
@@ -122,8 +109,8 @@ class ServiceConfig:
     #: runs requests in-process.  With a fleet, a crashing or wedged
     #: compile takes down one child process, not the service.
     fleet_workers: int = 0
-    #: Fleet tuning; None means :meth:`FleetConfig.from_env` with
-    #: ``workers`` overridden by :attr:`fleet_workers`.
+    #: Fleet tuning; None means the default :class:`FleetConfig`.
+    #: Either way its ``workers`` is :attr:`fleet_workers`.
     fleet: FleetConfig | None = None
     #: Per-tenant token buckets, retry budgets, and WDRR weights
     #: (:mod:`repro.serve.quota`); the default is quota-off.
@@ -145,38 +132,20 @@ class ServiceConfig:
 
     @classmethod
     def from_env(cls) -> "ServiceConfig":
-        """Build a config from ``REPRO_SERVE_*`` environment knobs."""
+        """Build a config from the ``REPRO_SERVE_*`` environment variables.
+
+        They set the journal directory, the service's size and the
+        per-tenant quotas; every other field keeps its default.  A
+        malformed value raises :class:`~repro.errors.TapaCSError`
+        naming the variable.
+        """
         base = cls()
         return cls(
             journal_dir=os.environ.get("REPRO_SERVE_JOURNAL_DIR") or None,
-            idempotency_ttl_s=_env_float(
-                "REPRO_SERVE_IDEMPOTENCY_TTL_S", base.idempotency_ttl_s
-            ),
-            workers=_env_int("REPRO_SERVE_WORKERS", base.workers),
-            max_queue=_env_int("REPRO_SERVE_MAX_QUEUE", base.max_queue),
-            fleet_workers=_env_int("REPRO_SERVE_FLEET", 0),
-            class_limits={
-                "interactive": _env_int(
-                    "REPRO_SERVE_INTERACTIVE_LIMIT",
-                    base.class_limits["interactive"],
-                ),
-                "batch": _env_int(
-                    "REPRO_SERVE_BATCH_LIMIT", base.class_limits["batch"]
-                ),
-            },
-            breaker=BreakerConfig(
-                failure_threshold=_env_int(
-                    "REPRO_SERVE_BREAKER_THRESHOLD", 3
-                ),
-                reset_timeout_s=_env_float(
-                    "REPRO_SERVE_BREAKER_RESET_S", 10.0
-                ),
-            ),
+            workers=env_int("REPRO_SERVE_WORKERS", base.workers),
+            max_queue=env_int("REPRO_SERVE_MAX_QUEUE", base.max_queue),
+            fleet_workers=env_int("REPRO_SERVE_FLEET", base.fleet_workers),
             quota=QuotaConfig.from_env(),
-            brownout=BrownoutConfig.from_env(),
-            aging_threshold_s=_env_float(
-                "REPRO_SERVE_AGING_S", base.aging_threshold_s
-            ),
         )
 
 
@@ -383,7 +352,7 @@ class CompileService:
         self.brownout = BrownoutController(self.config.brownout)
         self.fleet: WorkerFleet | None = None
         if self.config.fleet_workers > 0:
-            fleet_config = self.config.fleet or FleetConfig.from_env()
+            fleet_config = self.config.fleet or FleetConfig()
             fleet_config.workers = self.config.fleet_workers
             self.fleet = WorkerFleet(fleet_config)
             # This process answers compile hits itself (see _run), so its

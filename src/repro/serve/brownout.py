@@ -35,28 +35,11 @@ sleeping.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from ..core.ladder import TIERS
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name, "").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    return default
 
 
 @dataclass(slots=True)
@@ -75,27 +58,6 @@ class BrownoutConfig:
     #: The worst tier the ceiling may reach ("greedy" allows the full
     #: descent; "coarse" keeps at least one ILP stage alive).
     floor: str = "greedy"
-
-    @classmethod
-    def from_env(cls) -> "BrownoutConfig":
-        base = cls()
-        floor = os.environ.get("REPRO_SERVE_BROWNOUT_FLOOR", base.floor)
-        return cls(
-            enabled=_env_bool("REPRO_SERVE_BROWNOUT", base.enabled),
-            high_pressure=_env_float(
-                "REPRO_SERVE_BROWNOUT_HIGH", base.high_pressure
-            ),
-            low_pressure=_env_float(
-                "REPRO_SERVE_BROWNOUT_LOW", base.low_pressure
-            ),
-            degrade_after_s=_env_float(
-                "REPRO_SERVE_BROWNOUT_DEGRADE_S", base.degrade_after_s
-            ),
-            restore_after_s=_env_float(
-                "REPRO_SERVE_BROWNOUT_RESTORE_S", base.restore_after_s
-            ),
-            floor=floor if floor in TIERS else base.floor,
-        )
 
 
 class BrownoutController:

@@ -1,4 +1,4 @@
-"""Process-isolated workers: supervision, failover, hedging.
+"""Process-isolated workers: supervision and failover.
 
 The in-process broker (:mod:`repro.serve.broker`) runs each request on
 the thread that asked for it; one segfaulting native solver, one OOM
@@ -30,7 +30,7 @@ Supervision contract:
   capped exponential backoff and a slot that crash-loops is quarantined
   for a cooldown instead of burning CPU on doomed forks.
 * **abandoned jobs** — when the waiter of a job gives up (its deadline
-  plus detection slack, or the caller's own ``timeout_s``), every worker
+  plus detection slack, or the caller's own ``timeout_s``), the worker
   still running that job is SIGKILLed and replaced at once.  Like a
   rolling-restart recycle, that replacement bypasses the governor: the
   worker did not crash.  The slot is free again for the next job.
@@ -42,11 +42,6 @@ Supervision contract:
   ``max_failovers`` re-dispatches the request fails with the typed,
   retryable :class:`~repro.errors.WorkerCrashError` — the request is
   probably what is *killing* the workers.
-* **hedged retries** — with ``hedge_after_s`` set, a job that has been
-  running that long on one worker while another sits idle is dispatched
-  a second time; the first result wins and the loser is discarded.
-  Idempotence again makes this free of semantic risk; deadlines are
-  respected (a job with no budget left is never hedged).
 * **graceful drain** — :meth:`WorkerFleet.drain` stops dispatch of new
   work, lets every admitted job finish (failover included), then stops
   the workers; nothing admitted is ever lost and no child outlives the
@@ -58,6 +53,11 @@ Supervision contract:
   that cannot drain within the timeout is killed, and its in-flight job
   fails over through the existing requeue path — so a deploy is
   invisible to clients beyond momentarily reduced parallelism.
+
+The fleet reads nothing from the environment: its owner builds the
+:class:`FleetConfig` (the broker from ``--fleet`` or
+``REPRO_SERVE_FLEET``, a parallel sweep from ``--jobs``), and every
+other knob keeps its default unless a caller or test sets it.
 
 Each job crosses the pipe as a module-level function plus its payload,
 ``fn(payload, remaining_s)``: the broker's requests go to
@@ -96,24 +96,6 @@ from ..errors import (
 from ..perf.supervise import BackoffPolicy, RespawnGovernor
 
 
-def _env_float(name: str, default: float | None) -> float | None:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
 @dataclass(slots=True)
 class FleetConfig:
     """Tuning knobs for one worker fleet."""
@@ -126,8 +108,6 @@ class FleetConfig:
     liveness_timeout_s: float = 5.0
     #: Re-dispatches allowed per job after worker crashes.
     max_failovers: int = 2
-    #: Hedge a job still running after this long (None disables).
-    hedge_after_s: float | None = None
     #: Respawn backoff + crash-loop quarantine (shared primitives).
     respawn_backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     quarantine_threshold: int = 3
@@ -138,33 +118,6 @@ class FleetConfig:
     worker_cache_entries: int = 128
     #: How long :meth:`WorkerFleet.drain` waits for in-flight work.
     drain_timeout_s: float = 30.0
-
-    @classmethod
-    def from_env(cls) -> "FleetConfig":
-        base = cls()
-        return cls(
-            workers=_env_int("REPRO_SERVE_FLEET", base.workers),
-            heartbeat_s=_env_float("REPRO_FLEET_HEARTBEAT_S", base.heartbeat_s),
-            liveness_timeout_s=_env_float(
-                "REPRO_FLEET_LIVENESS_S", base.liveness_timeout_s
-            ),
-            max_failovers=_env_int(
-                "REPRO_FLEET_MAX_FAILOVERS", base.max_failovers
-            ),
-            hedge_after_s=_env_float("REPRO_FLEET_HEDGE_S", None),
-            quarantine_threshold=_env_int(
-                "REPRO_FLEET_QUARANTINE_THRESHOLD", base.quarantine_threshold
-            ),
-            quarantine_cooldown_s=_env_float(
-                "REPRO_FLEET_QUARANTINE_COOLDOWN_S", base.quarantine_cooldown_s
-            ),
-            worker_cache_entries=_env_int(
-                "REPRO_FLEET_CACHE_ENTRIES", base.worker_cache_entries
-            ),
-            drain_timeout_s=_env_float(
-                "REPRO_FLEET_DRAIN_TIMEOUT_S", base.drain_timeout_s
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +232,7 @@ class _FleetJob:
 
     __slots__ = (
         "id", "fn", "request", "deadline", "event", "value", "error",
-        "ladder_entries", "failovers", "assignments", "first_slot",
-        "hedges", "done", "queued_at",
+        "ladder_entries", "failovers", "done", "queued_at",
     )
 
     def __init__(
@@ -295,10 +247,6 @@ class _FleetJob:
         self.error: TapaCSError | None = None
         self.ladder_entries: list[dict] = []
         self.failovers = 0
-        #: Slots currently running a copy of this job (>1 while hedged).
-        self.assignments: set[int] = set()
-        self.first_slot: int | None = None
-        self.hedges = 0
         self.done = False
         self.queued_at = time.monotonic()
 
@@ -331,7 +279,7 @@ class WorkerFleet:
     """N supervised worker processes behind one dispatch queue."""
 
     #: Monitor poll period: the granularity of crash/liveness detection,
-    #: respawns, rolling-restart recycles and hedging decisions.  Jobs do
+    #: respawns and rolling-restart recycles.  Jobs do
     #: not wait for it: :meth:`run` dispatches to an idle worker on
     #: arrival, and the monitor hands a queued job to the worker that
     #: just answered as soon as its result is read.
@@ -367,8 +315,6 @@ class WorkerFleet:
             "failed": 0,
             "failovers": 0,
             "failover_exhausted": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
             "respawns": 0,
             "recycled": 0,
             "abandoned_kills": 0,
@@ -418,9 +364,6 @@ class WorkerFleet:
         handle.process.join(timeout=0.2)  # reap; it is already gone
         if job is None or job.done:
             return
-        job.assignments.discard(handle.slot)
-        if job.assignments:
-            return  # a hedge copy is still running elsewhere
         job.failovers += 1
         if job.failovers > self.config.max_failovers:
             self.counters["failover_exhausted"] += 1
@@ -465,7 +408,6 @@ class WorkerFleet:
                 self._respawn_dead_slots()
                 self._recycle_retiring()
                 self._dispatch_queued()
-                self._hedge_stragglers()
                 conns = {
                     handle.conn: handle
                     for handle in self._workers
@@ -531,16 +473,11 @@ class WorkerFleet:
                 handle.slot, handle.generation + 1
             )
 
-    def _idle_worker(self, exclude: set[int]) -> _WorkerHandle | None:
-        fallback = None
+    def _idle_worker(self) -> _WorkerHandle | None:
         for handle in self._workers:
-            if handle.state != "idle" or handle.retiring:
-                continue
-            if handle.slot in exclude:
-                fallback = fallback or handle
-                continue
-            return handle
-        return fallback
+            if handle.state == "idle" and not handle.retiring:
+                return handle
+        return None
 
     def _replace(self, handle: _WorkerHandle, graceful: bool) -> None:
         """Stop one worker and spawn its slot's next generation.
@@ -590,7 +527,7 @@ class WorkerFleet:
             if job.done:  # abandoned (waiter timed out)
                 self._queue.popleft()
                 continue
-            handle = self._idle_worker(exclude=job.assignments)
+            handle = self._idle_worker()
             if handle is None:
                 return
             self._queue.popleft()
@@ -622,33 +559,8 @@ class WorkerFleet:
         handle.job = job
         handle.state = "busy"
         handle.job_started_at = time.monotonic()
-        job.assignments.add(handle.slot)
-        if job.first_slot is None:
-            job.first_slot = handle.slot
         self.counters["dispatched"] += 1
         return True
-
-    def _hedge_stragglers(self) -> None:
-        hedge_after = self.config.hedge_after_s
-        if not hedge_after:
-            return
-        now = time.monotonic()
-        for handle in self._workers:
-            job = handle.job
-            if handle.state != "busy" or job is None or job.done:
-                continue
-            if job.hedges > 0 or len(job.assignments) != 1:
-                continue
-            if now - handle.job_started_at < hedge_after:
-                continue
-            if job.deadline is not None and job.deadline.remaining() <= 0:
-                continue  # no budget left to win back
-            spare = self._idle_worker(exclude=job.assignments)
-            if spare is None or spare.slot in job.assignments:
-                continue
-            job.hedges += 1
-            self.counters["hedges"] += 1
-            self._dispatch(job, spare)
 
     def _handle_message(self, handle: _WorkerHandle, message: tuple) -> None:
         # Called with the lock held.
@@ -669,10 +581,7 @@ class WorkerFleet:
         merge_stats(stats_delta)
         job = self._jobs.get(job_id)
         if job is None or job.done:
-            return  # hedge loser or abandoned job: result discarded
-        job.assignments.discard(handle.slot)
-        if job.hedges and handle.slot != job.first_slot:
-            self.counters["hedge_wins"] += 1
+            return  # abandoned job: result discarded
         if kind == "ok":
             self._finish(job, value=payload, entries=entries)
         else:
@@ -695,7 +604,7 @@ class WorkerFleet:
         ``timeout_s`` bounds the wait; by default it is the deadline's
         remaining time plus detection slack (no deadline: no bound).  A
         job still unanswered then fails with
-        :class:`DeadlineExceededError` and the workers running it are
+        :class:`DeadlineExceededError` and the worker running it is
         killed and replaced.
 
         Returns ``(value, ladder_entries)``.  On failure it re-raises a

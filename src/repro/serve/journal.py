@@ -19,8 +19,8 @@ the append-only log of :mod:`repro.perf.journal`:
   record are re-enqueued with their original tenant/class/deadline, so
   accepted work survives a crash of the serving process;
 * a ``done`` record under a *client* idempotency key carries the
-  pickled result and feeds a **dedup table** for
-  ``REPRO_SERVE_IDEMPOTENCY_TTL_S``: a retry under that key returns the
+  pickled result and feeds a **dedup table** for ``ttl_s`` (an hour;
+  ``ServiceConfig.idempotency_ttl_s``): a retry under that key returns the
   original result instead of recompiling (``failed`` entries
   deliberately do *not* dedup — a retry after a failure deserves a
   fresh attempt).  A request without a client key has nothing to look
@@ -121,14 +121,6 @@ _FIELD_TYPES = {
 }
 
 
-def default_ttl_s() -> float:
-    """The completed-entry dedup TTL (env-overridable)."""
-    try:
-        return float(os.environ.get("REPRO_SERVE_IDEMPOTENCY_TTL_S", ""))
-    except ValueError:
-        return 3600.0
-
-
 class JournalEntry:
     """One live request: its lifecycle status and the record that
     defines it — its accept while incomplete, its done once completed.
@@ -204,14 +196,14 @@ class ServeJournal:
     def __init__(
         self,
         directory: str,
-        ttl_s: float | None = None,
+        ttl_s: float = 3600.0,
         checkpoint_interval_s: float = 1.0,
         lock_timeout_s: float = 5.0,
         clock: Callable[[], float] = time.time,
     ):
         self.directory = directory
         self.path = os.path.join(directory, WAL_NAME)
-        self.ttl_s = default_ttl_s() if ttl_s is None else ttl_s
+        self.ttl_s = ttl_s
         self.checkpoint_interval_s = checkpoint_interval_s
         self._clock = clock
         self._lock = threading.Lock()

@@ -21,7 +21,7 @@ the who:
   admission class.
 
 The registry's memory is bounded: tenant buckets idle longer than
-``REPRO_SERVE_TENANT_IDLE_S`` are LRU-evicted (a million distinct
+``QuotaConfig.tenant_idle_s`` (an hour) are LRU-evicted (a million distinct
 tenants must not leak a million buckets).  Eviction is safe by
 construction — a bucket that has been idle for the eviction window has
 refilled to burst anyway, so recreating it lazily on the tenant's next
@@ -32,9 +32,10 @@ them after a restart, crediting the elapsed downtime as refill.
 
 Quotas are **off by default** (``rate == 0`` means unlimited): a bare
 `CompileService` behaves exactly as before this module existed.  Turn
-them on service-wide with ``REPRO_SERVE_TENANT_RATE`` /
-``REPRO_SERVE_TENANT_BURST``, or per tenant with ``REPRO_SERVE_QUOTAS``
-(a JSON object: ``{"acme": {"rate": 2, "burst": 4, "weight": 2}}``).
+them on per tenant with ``REPRO_SERVE_QUOTAS``, a JSON object such as
+``{"acme": {"rate": 2, "burst": 4, "weight": 2}}``; naming
+:data:`DEFAULT_TENANT` limits the requests that name no tenant.  A
+library caller passes a :class:`QuotaConfig` instead.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ import json
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
-from ..errors import QuotaExceededError
+from ..errors import QuotaExceededError, TapaCSError
 
 #: The tenant of requests that never named one (the CLI default, bare
 #: HTTP bodies, library callers).  Deliberately a real tenant — the
@@ -56,13 +57,6 @@ DEFAULT_TENANT = "anonymous"
 
 #: Ceiling on any retry-after hint this module produces.
 MAX_RETRY_AFTER_S = 60.0
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 @dataclass(slots=True)
@@ -94,46 +88,40 @@ class QuotaConfig:
 
     @classmethod
     def from_env(cls) -> "QuotaConfig":
-        """Build the policy from ``REPRO_SERVE_*`` environment knobs.
+        """The per-tenant quotas of ``REPRO_SERVE_QUOTAS``.
 
-        ``REPRO_SERVE_QUOTAS`` is a JSON object mapping tenant names to
-        partial :class:`TenantLimits` dicts; unknown keys are ignored so
-        a forward-compatible config does not crash an old server.
+        The variable is a JSON object mapping tenant names to partial
+        :class:`TenantLimits` objects; unknown keys inside an entry are
+        ignored so a forward-compatible config does not crash an old
+        server.  Unset, every tenant is unlimited.  A value that is not
+        such an object, or a limit that is not a number, raises
+        :class:`~repro.errors.TapaCSError` naming the variable.
         """
-        default = TenantLimits(
-            rate=_env_float("REPRO_SERVE_TENANT_RATE", 0.0),
-            burst=_env_float("REPRO_SERVE_TENANT_BURST", 1.0),
-            retry_rate=_env_float("REPRO_SERVE_RETRY_RATE", 0.0),
-            retry_burst=_env_float("REPRO_SERVE_RETRY_BUDGET", 10.0),
+        raw = os.environ.get("REPRO_SERVE_QUOTAS", "").strip()
+        if not raw:
+            return cls()
+        malformed = TapaCSError(
+            f"REPRO_SERVE_QUOTAS={raw!r} is not a JSON object of tenant limits"
         )
+        try:
+            parsed = json.loads(raw)
+        except ValueError:
+            raise malformed from None
+        if not isinstance(parsed, dict):
+            raise malformed
         overrides: dict[str, TenantLimits] = {}
-        raw = os.environ.get("REPRO_SERVE_QUOTAS", "")
-        if raw:
+        for tenant, knobs in parsed.items():
+            if not isinstance(knobs, dict):
+                raise malformed
             try:
-                parsed = json.loads(raw)
-            except ValueError:
-                parsed = {}
-            if isinstance(parsed, dict):
-                for tenant, knobs in parsed.items():
-                    if not isinstance(knobs, dict):
-                        continue
-                    limits = TenantLimits(
-                        rate=float(knobs.get("rate", default.rate)),
-                        burst=float(knobs.get("burst", default.burst)),
-                        weight=float(knobs.get("weight", 1.0)),
-                        retry_rate=float(
-                            knobs.get("retry_rate", default.retry_rate)
-                        ),
-                        retry_burst=float(
-                            knobs.get("retry_burst", default.retry_burst)
-                        ),
-                    )
-                    overrides[str(tenant)] = limits
-        return cls(
-            default=default,
-            overrides=overrides,
-            tenant_idle_s=_env_float("REPRO_SERVE_TENANT_IDLE_S", 3600.0),
-        )
+                overrides[tenant] = TenantLimits(**{
+                    limit.name: float(knobs[limit.name])
+                    for limit in fields(TenantLimits)
+                    if limit.name in knobs
+                })
+            except (TypeError, ValueError):
+                raise malformed from None
+        return cls(overrides=overrides)
 
     def limits_for(self, tenant: str) -> TenantLimits:
         return self.overrides.get(tenant, self.default)

@@ -157,8 +157,6 @@ def smoke(cache_dir: str) -> int:
         # Queue must hold the burst's distinct leaders comfortably;
         # duplicates bypass admission entirely.
         REPRO_SERVE_MAX_QUEUE="32",
-        REPRO_SERVE_WORKERS="3",
-        REPRO_FLEET_HEARTBEAT_S="0.1",
     )
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",

@@ -157,8 +157,6 @@ def smoke(journal_dir: str, cache_dir: str) -> int:
         PYTHONPATH=str(REPO / "src"),
         REPRO_CACHE_DIR=cache_dir,
         REPRO_SERVE_MAX_QUEUE="32",
-        REPRO_SERVE_WORKERS="2",
-        REPRO_FLEET_HEARTBEAT_S="0.1",
         REPRO_SERVE_QUOTAS=json.dumps(QUOTAS),
         RESTART_SMOKE_JOURNAL=journal_dir,
     )

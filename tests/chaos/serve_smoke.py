@@ -2,9 +2,10 @@
 """End-to-end smoke test for ``repro serve`` under a wedged ILP backend.
 
 Run directly (CI's serve job does): spawns a real ``repro serve``
-subprocess whose ILP solves are chaos-wedged, drives a concurrent burst
-of mixed-deadline requests at it, and asserts the serving layer's three
-promises hold over plain HTTP:
+subprocess whose ILP solves are chaos-wedged (through the launcher in
+:mod:`tests.chaos.wedge`, which also cuts the breaker's reset to 1 s),
+drives a concurrent burst of mixed-deadline requests at it, and asserts
+the serving layer's three promises hold over plain HTTP:
 
 1. requests come back *on time and degraded* (``floorplan_tier`` in the
    response, ``degraded_tier`` in the health counters);
@@ -78,18 +79,16 @@ def main() -> int:
         # One worker, a queue of one: a concurrent burst must shed.
         REPRO_SERVE_WORKERS="1",
         REPRO_SERVE_MAX_QUEUE="1",
-        # The first 4 ILP solves wedge for 0.3s then fail; afterwards the
-        # backend has "recovered" so a half-open probe can close the
-        # breaker again.
-        REPRO_CHAOS_WEDGE_ILP_S="0.3",
-        REPRO_CHAOS_WEDGE_ILP_COUNT="4",
-        REPRO_SERVE_BREAKER_THRESHOLD="3",
-        REPRO_SERVE_BREAKER_RESET_S="1.0",
         # Keep the subprocess's artifact cache off this machine's disk.
         REPRO_CACHE_MEMORY_ONLY="1",
     )
+    # The first 4 ILP solves wedge for 0.3s then fail; afterwards the
+    # backend has "recovered" so a half-open probe can close the breaker
+    # (3 failures open it) again.
     server = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", str(port)],
+        [sys.executable, str(REPO / "tests" / "chaos" / "wedge.py"),
+         "--seconds", "0.3", "--count", "4",
+         "serve", "--port", str(port)],
         cwd=REPO,
         env=env,
         stdout=subprocess.PIPE,

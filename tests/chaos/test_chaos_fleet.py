@@ -8,8 +8,8 @@ drain finishes everything admitted before the workers stop.  Each test
 here injects exactly one of those faults mid-burst and asserts the
 promise end to end.
 
-Faults that need a worker's cooperation (a wedge, a straggler) are job
-functions in :mod:`tests.chaos.workers`, passed to ``WorkerFleet.run``;
+Faults that need a worker's cooperation (a wedge) are job functions in
+:mod:`tests.chaos.workers`, passed to ``WorkerFleet.run``;
 the fleet under test is always torn down — crashed or not — so no child
 outlives the suite.
 """
@@ -147,33 +147,6 @@ class TestWedgedWorker:
             assert counters["wedge_kills"] == 1
             assert counters["failovers"] == 1
             assert counters["completed"] == 1
-        finally:
-            fleet.shutdown()
-
-
-class TestHedgedRetries:
-    def test_straggler_is_hedged_and_fast_copy_wins(
-        self, fresh_cache, tmp_path
-    ):
-        # The first copy of the job is slow (5s extra, heartbeats intact
-        # — not wedged, just slow).  With hedging armed at 0.3s and the
-        # other worker idle, the duplicate dispatch must win long before.
-        fleet = _fleet(workers=2, hedge_after_s=0.3, liveness_timeout_s=10.0)
-        try:
-            start = time.monotonic()
-            value, _ = fleet.run(
-                (str(tmp_path / "straggled"), 5.0, _request()), None,
-                fn=chaos_workers.straggle_once,
-            )
-            elapsed = time.monotonic() - start
-            assert value is not None
-            assert elapsed < 4.0, "the hedge must beat the straggler"
-            counters = fleet.health()["counters"]
-            assert counters["hedges"] == 1
-            assert counters["hedge_wins"] == 1
-            # The straggler's late result is discarded, its worker freed
-            # — not treated as a crash.
-            assert counters["worker_crashes"] == 0
         finally:
             fleet.shutdown()
 

@@ -1,40 +1,34 @@
 """Wedged-solver chaos tests for the compile service.
 
-``REPRO_CHAOS_WEDGE_ILP_S`` makes every ILP solve sleep then fail with
-``SolverError`` — the "hung solver" scenario.  These tests assert the
+:func:`tests.chaos.wedge.wedge_ilp` makes every ILP solve sleep then fail
+with ``SolverError`` — the "hung solver" scenario.  These tests assert the
 serving layer's promises under that scenario: degraded-but-on-time
 responses, an ILP breaker that opens (and then forces the free greedy
 tier), and recovery through a half-open probe once the backend heals
-(``REPRO_CHAOS_WEDGE_ILP_COUNT`` bounds how many solves stay wedged).
+(its ``count`` bounds how many solves stay wedged).
 
 Wedge sleeps are kept tiny so the whole module stays fast.
 """
 
-import itertools
 import time
 
 import pytest
 
-import repro.ilp.solver as solver_module
 from repro.cluster import make_cluster
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerConfig
 from repro.serve.broker import CompileRequest, CompileService, ServiceConfig
 
+from tests.chaos.wedge import wedge_ilp
 from tests.conftest import build_diamond
 
 
 @pytest.fixture
 def wedged(monkeypatch):
-    """Wedge every ILP solve for 0.1s; yields a re-arm helper."""
-    monkeypatch.setenv("REPRO_CHAOS_WEDGE_ILP_S", "0.1")
-    monkeypatch.delenv("REPRO_CHAOS_WEDGE_ILP_COUNT", raising=False)
+    """Arms a 0.1s wedge on every ILP solve (the first ``count`` only,
+    if given) for this test; the real solver returns at teardown."""
 
     def arm(count=None):
-        # The wedge counter is process-wide; rearm it per test so earlier
-        # tests' solves don't eat this test's wedge budget.
-        solver_module._WEDGE_COUNTER = itertools.count()
-        if count is not None:
-            monkeypatch.setenv("REPRO_CHAOS_WEDGE_ILP_COUNT", str(count))
+        wedge_ilp(0.1, count, patch=monkeypatch.setattr)
 
     return arm
 

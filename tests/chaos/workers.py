@@ -101,18 +101,6 @@ def wedge_once(payload, remaining_s):
     return _run_one_request(request, remaining_s)
 
 
-def straggle_once(payload, remaining_s):
-    """A fleet job whose first copy sleeps ``seconds`` before compiling,
-    heartbeats intact: a straggler, not a wedge.  ``payload = (marker_path,
-    seconds, request)``."""
-    from repro.serve.fleet import _run_one_request
-
-    marker_path, seconds, request = payload
-    if _first_call(marker_path):
-        time.sleep(seconds)
-    return _run_one_request(request, remaining_s)
-
-
 def _expected_payload(key: str):
     return ("payload", key * 3)
 

@@ -153,22 +153,3 @@ class TestSnapshotAndEnv:
         assert snapshot["degrades"] == 1
         assert snapshot["pressure"] == pytest.approx(1.0)
         assert snapshot["transitions"] == [TIERS[1]]
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT", "0")
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT_HIGH", "0.9")
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT_LOW", "0.1")
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT_DEGRADE_S", "1.5")
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT_RESTORE_S", "9")
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT_FLOOR", TIERS[2])
-        config = BrownoutConfig.from_env()
-        assert config.enabled is False
-        assert config.high_pressure == 0.9
-        assert config.low_pressure == 0.1
-        assert config.degrade_after_s == 1.5
-        assert config.restore_after_s == 9.0
-        assert config.floor == TIERS[2]
-
-    def test_from_env_rejects_unknown_floor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_BROWNOUT_FLOOR", "not-a-tier")
-        assert BrownoutConfig.from_env().floor == "greedy"

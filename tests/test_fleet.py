@@ -194,24 +194,6 @@ class TestErrorTransport:
         assert str(decoded) == "fleet worker failed with ValueError: worker bug"
 
 
-class TestFleetConfig:
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_FLEET", "5")
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT_S", "0.1")
-        monkeypatch.setenv("REPRO_FLEET_LIVENESS_S", "2.5")
-        monkeypatch.setenv("REPRO_FLEET_MAX_FAILOVERS", "4")
-        monkeypatch.setenv("REPRO_FLEET_HEDGE_S", "1.5")
-        config = FleetConfig.from_env()
-        assert config.workers == 5
-        assert config.heartbeat_s == 0.1
-        assert config.liveness_timeout_s == 2.5
-        assert config.max_failovers == 4
-        assert config.hedge_after_s == 1.5
-
-    def test_hedging_defaults_off(self):
-        assert FleetConfig().hedge_after_s is None
-
-
 def _sleep_job(seconds, remaining_s):
     """A caller-supplied fleet job (module level: it crosses the pipe)."""
     time.sleep(seconds)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import OverloadedError, QuotaExceededError
+from repro.errors import OverloadedError, QuotaExceededError, TapaCSError
 from repro.serve.quota import (
     DEFAULT_TENANT,
     QuotaConfig,
@@ -166,37 +166,47 @@ class TestQuotaRegistry:
 
 class TestQuotaConfigFromEnv:
     def test_defaults_are_off(self, monkeypatch):
-        for key in (
-            "REPRO_SERVE_TENANT_RATE", "REPRO_SERVE_TENANT_BURST",
-            "REPRO_SERVE_RETRY_RATE", "REPRO_SERVE_RETRY_BUDGET",
-            "REPRO_SERVE_QUOTAS",
-        ):
-            monkeypatch.delenv(key, raising=False)
+        monkeypatch.delenv("REPRO_SERVE_QUOTAS", raising=False)
         config = QuotaConfig.from_env()
         assert config.default.rate == 0.0
         assert config.overrides == {}
 
     def test_env_knobs_parse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_TENANT_RATE", "2.5")
-        monkeypatch.setenv("REPRO_SERVE_TENANT_BURST", "7")
-        monkeypatch.setenv("REPRO_SERVE_RETRY_RATE", "1")
         monkeypatch.setenv(
             "REPRO_SERVE_QUOTAS",
-            '{"acme": {"rate": 10, "burst": 20, "weight": 3}}',
+            '{"acme": {"rate": 10, "burst": 20, "weight": 3}, '
+            '"anonymous": {"rate": "2.5", "retry_rate": 1}}',
         )
         config = QuotaConfig.from_env()
-        assert config.default.rate == 2.5
-        assert config.default.burst == 7.0
-        assert config.default.retry_rate == 1.0
         assert config.limits_for("acme").rate == 10.0
         assert config.limits_for("acme").weight == 3.0
-        # Unnamed tenants inherit the default.
-        assert config.limits_for("other").rate == 2.5
+        # The requests that name no tenant can be limited too.
+        assert config.limits_for(DEFAULT_TENANT).rate == 2.5
+        assert config.limits_for(DEFAULT_TENANT).retry_rate == 1.0
+        # Unnamed tenants stay unlimited.
+        assert config.limits_for("other").rate == 0.0
 
-    def test_malformed_quotas_json_is_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_QUOTAS", "{not json")
-        config = QuotaConfig.from_env()
-        assert config.overrides == {}
+    def test_unknown_keys_in_an_entry_are_ignored(self, monkeypatch):
+        monkeypatch.setenv(
+            "REPRO_SERVE_QUOTAS", '{"acme": {"rate": 4, "colour": "blue"}}'
+        )
+        assert QuotaConfig.from_env().limits_for("acme").rate == 4.0
+
+    @pytest.mark.parametrize("raw", [
+        "{not json",
+        "[1, 2]",
+        '"acme"',
+        '{"acme": 5}',
+        '{"acme": {"rate": "fast"}}',
+        '{"acme": {"burst": null}}',
+    ])
+    def test_malformed_quotas_json_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SERVE_QUOTAS", raw)
+        with pytest.raises(TapaCSError) as caught:
+            QuotaConfig.from_env()
+        assert str(caught.value) == (
+            f"REPRO_SERVE_QUOTAS={raw!r} is not a JSON object of tenant limits"
+        )
 
 
 class TestTenantEviction:
